@@ -70,6 +70,12 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
+def _budget_exceeded(**extra) -> int:
+    _emit({"format_version": FORMAT_VERSION, "outcome": "budget_exceeded", **extra})
+    print("time budget exceeded; no exact value reported", file=sys.stderr)
+    return 3
+
+
 def _cmd_index(args) -> int:
     g = _load_graph(args.graph)
     if args.l < 1:
@@ -85,15 +91,7 @@ def _cmd_index(args) -> int:
                 result = min_cover_bruteforce(g, args.l, m)
     except BudgetExceededError:
         d = g.max_degree()
-        _emit(
-            {
-                "format_version": FORMAT_VERSION,
-                "outcome": "budget_exceeded",
-                "chromatic_index_bracket": [d, d + 1],
-            }
-        )
-        print("time budget exceeded; no exact value reported", file=sys.stderr)
-        return 3
+        return _budget_exceeded(chromatic_index_bracket=[d, d + 1])
     payload = index_result_to_json(g, args.l, m, result, include_witness=args.witness)
     _emit({"format_version": FORMAT_VERSION, **payload})
     return 0 if result.finite else 2
@@ -104,15 +102,18 @@ def _cmd_analyze(args) -> int:
         raise ParameterError("nothing to do: pass --compat and/or --coherence")
     g = _load_graph(args.graph)
     out: dict = {"format_version": FORMAT_VERSION}
-    with time_budget(args.budget_ms):
-        if args.compat:
-            out["compatibility"] = compatibility_report_to_json(
-                compatibility_report(g, args.max_m)
-            )
-        if args.coherence:
-            if args.l is None or args.m is None:
-                raise ParameterError("--coherence requires --l and --m")
-            out["coherence"] = coherence_report_to_json(coherence_report(g, args.l, args.m))
+    try:
+        with time_budget(args.budget_ms):
+            if args.compat:
+                out["compatibility"] = compatibility_report_to_json(
+                    compatibility_report(g, args.max_m)
+                )
+            if args.coherence:
+                if args.l is None or args.m is None:
+                    raise ParameterError("--coherence requires --l and --m")
+                out["coherence"] = coherence_report_to_json(coherence_report(g, args.l, args.m))
+    except BudgetExceededError:
+        return _budget_exceeded()
     _emit(out)
     return 0
 

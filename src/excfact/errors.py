@@ -27,3 +27,7 @@ class BudgetExceededError(RuntimeError):
 
 class EnumerationCapError(RuntimeError):
     """A brute-force enumeration produced more items than its configured cap."""
+
+
+class InvariantError(AssertionError):
+    """An internal postcondition failed; raised explicitly so ``python -O`` keeps it."""

@@ -1,11 +1,18 @@
 """Independent brute-force ground truth for the main computations.
 
 Nothing here shares search code with the main modules: matchings are
-enumerated by explicit subset recursion, the minimum cover is an exact
-branch-and-bound over that enumeration, the chromatic index is recomputed
-as a vertex colouring of the line graph, and the maximum matching size is a
-bitmask dynamic program over vertex subsets.  Agreement with the main path
-is therefore evidence, not tautology.
+enumerated as edge-index bitmasks by a depth-first search over increasing
+edge indices (which yields them in canonical order without sorting), the
+minimum cover is an exact branch-and-bound over that enumeration, the
+chromatic index is recomputed as a vertex colouring of the line graph, and
+the maximum matching size is a bitmask dynamic program over vertex subsets.
+Agreement with the main path is therefore evidence, not tautology.
+
+The branch-and-bound seeds its incumbent with a greedy cover (first
+candidate of largest gain), branches in a fixed edge order and prunes only
+with valid lower bounds (uncovered edges over m, and uncovered edges at one
+vertex), so its witness does not depend on how much it prunes; see
+:func:`min_cover_bruteforce`.
 """
 
 from __future__ import annotations
@@ -15,14 +22,52 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import ceil
 
 from . import excessive as _excessive
 from .budget import check_budget
 from .coloring import chromatic_index
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, InvariantError
 from .excessive import INFINITY, IndexResult, RULE_NOT_COVERABLE, RULE_SEARCH, verify_covering
 from .graphs import Covering, Edge, Matching, SimpleGraph, encode_graph6
+
+
+def _matching_masks(edges: list[Edge], l: int, m: int, cap: int) -> list[int]:
+    """Edge-index bitmasks of every matching with size in [l, m], in canonical order.
+
+    Depth-first search over increasing edge indices, with the used vertices
+    kept as a bitmask.  A matching is emitted before its extensions and
+    siblings follow in index order, so the output is already sorted the way
+    ``sorted`` would sort the tuples of (sorted) edges.
+    """
+    # a matching with l edges needs 2l distinct endpoints
+    if m < max(l, 0) or 2 * l > len({v for e in edges for v in e}):
+        return []
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    count = len(ends)
+    found: list[int] = []
+
+    def extend(start: int, mask: int, used: int, size: int) -> None:
+        if size >= l:
+            found.append(mask)
+            if len(found) > cap:
+                raise EnumerationCapError(f"more than {cap} matchings")
+        if size == m:
+            return
+        for idx in range(start, count):
+            if not ends[idx] & used:
+                extend(idx + 1, mask | 1 << idx, used | ends[idx], size + 1)
+
+    extend(0, 0, 0, 0)
+    return found
+
+
+def _matching_of(edges: list[Edge], mask: int) -> Matching:
+    chosen = []
+    while mask:
+        low = mask & -mask
+        chosen.append(edges[low.bit_length() - 1])
+        mask ^= low
+    return Matching(frozenset(chosen))
 
 
 def all_matchings(g: SimpleGraph, l: int, m: int, cap: int = 1_000_000) -> list[Matching]:
@@ -32,27 +77,7 @@ def all_matchings(g: SimpleGraph, l: int, m: int, cap: int = 1_000_000) -> list[
     have been produced; the caller owns the combinatorial-blowup risk.
     """
     edges = g.sorted_edges()
-    found: list[tuple[Edge, ...]] = []
-
-    def extend(start: int, chosen: list[Edge], used: set[int]) -> None:
-        if l <= len(chosen) <= m:
-            found.append(tuple(chosen))
-            if len(found) > cap:
-                raise EnumerationCapError(f"more than {cap} matchings")
-        if len(chosen) == m:
-            return
-        for idx in range(start, len(edges)):
-            u, v = edges[idx]
-            if u in used or v in used:
-                continue
-            chosen.append((u, v))
-            used.update((u, v))
-            extend(idx + 1, chosen, used)
-            chosen.pop()
-            used.difference_update((u, v))
-
-    extend(0, [], set())
-    return [Matching(frozenset(t)) for t in sorted(found)]
+    return [_matching_of(edges, mask) for mask in _matching_masks(edges, l, m, cap)]
 
 
 def matching_count_by_deletion(g: SimpleGraph) -> int:
@@ -99,42 +124,72 @@ def max_matching_size_bruteforce(g: SimpleGraph) -> int:
     return best((1 << n) - 1)
 
 
+def _branch_targets(masks: list[int], edge_count: int) -> list[tuple[int, list[int]]]:
+    """``(1 << edge, candidates containing the edge)`` for every edge, in branching order.
+
+    The order is fewest containing candidates first, then lowest edge index
+    (the sort is stable).
+    """
+    containing: list[list[int]] = [[] for _ in range(edge_count)]
+    for idx, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            containing[low.bit_length() - 1].append(idx)
+            mask ^= low
+    order = sorted(range(edge_count), key=lambda bit: len(containing[bit]))
+    return [(1 << bit, containing[bit]) for bit in order]
+
+
 def min_cover_bruteforce(g: SimpleGraph, l: int, m: int) -> IndexResult:
     """Exact minimum [l,m]-cover by branch and bound over all [l,m]-matchings.
 
-    Branches on the uncovered edge contained in the fewest candidate
-    matchings; prunes with chosen + ceil(uncovered / m) against the best
-    cover found so far.
+    The candidates are the edge bitmasks of the [l,m]-matchings in canonical
+    order; ``Matching`` objects are built only for the witness.  A greedy
+    cover seeds the incumbent: each step takes the candidate covering the
+    most uncovered edges, the first such candidate on ties.  The search
+    branches on the uncovered edge contained in the fewest candidates (lowest
+    edge index on ties), trying its candidates in order.  It prunes when the
+    chosen count plus a lower bound reaches the incumbent size; the bound is
+    the larger of ceil(uncovered / m), since a matching covers at most m
+    edges, and the most uncovered edges at one vertex, since a matching
+    covers at most one edge per vertex.  Only subtrees without a strictly
+    smaller cover are pruned, and the incumbent changes only on a strictly
+    smaller cover, so value and witness (matchings and their order) are the
+    ones the unpruned search in the same order returns.
+
+    Raises :class:`InvariantError` if the witness fails verification.
     """
     edges = g.sorted_edges()
     if not edges:
         return IndexResult(0, Covering(()), RULE_SEARCH)
-    index_of = {e: i for i, e in enumerate(edges)}
-    candidates = all_matchings(g, l, m)
-    masks = []
-    for matching in candidates:
-        mask = 0
-        for e in matching.edges:
-            mask |= 1 << index_of[e]
-        masks.append(mask)
-    containing: list[list[int]] = [[] for _ in edges]
-    for idx, mask in enumerate(masks):
-        for bit in range(len(edges)):
-            if (mask >> bit) & 1:
-                containing[bit].append(idx)
-    if any(not lst for lst in containing):
-        return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
-
+    masks = _matching_masks(edges, l, m, 1_000_000)
     full = (1 << len(edges)) - 1
+    union = 0
+    for mask in masks:
+        union |= mask
+    if union != full:
+        return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
+    stars = [0] * g.vertex_count
+    for i, (u, v) in enumerate(edges):
+        stars[u] |= 1 << i
+        stars[v] |= 1 << i
+    stars = [s for s in stars if s]
+    # built at the first node the bounds do not prune; most windows never get there
+    targets: list[tuple[int, list[int]]] = []
 
     # greedy cover gives the initial upper bound
     greedy: list[int] = []
     covered = 0
     while covered != full:
-        pick = max(range(len(masks)), key=lambda i: (bin(masks[i] & ~covered).count("1"), -i))
+        uncovered = full & ~covered
+        best_gain = pick = -1
+        for idx, mask in enumerate(masks):
+            gain = (mask & uncovered).bit_count()
+            if gain > best_gain:  # strict: the first candidate of largest gain wins
+                best_gain, pick = gain, idx
         greedy.append(pick)
         covered |= masks[pick]
-    best_choice = list(greedy)
+    best_choice = greedy
     best_size = len(greedy)
 
     def branch(covered: int, chosen: list[int]) -> None:
@@ -146,20 +201,26 @@ def min_cover_bruteforce(g: SimpleGraph, l: int, m: int) -> IndexResult:
                 best_choice = list(chosen)
             return
         uncovered = full & ~covered
-        if len(chosen) + ceil(bin(uncovered).count("1") / m) >= best_size:
+        slack = best_size - len(chosen)
+        if -(-uncovered.bit_count() // m) >= slack:
             return
-        target = min(
-            (bit for bit in range(len(edges)) if (uncovered >> bit) & 1),
-            key=lambda bit: (len(containing[bit]), bit),
-        )
-        for idx in containing[target]:
+        for star in stars:
+            if (uncovered & star).bit_count() >= slack:
+                return
+        if not targets:
+            targets.extend(_branch_targets(masks, len(edges)))
+        for bit, options in targets:
+            if uncovered & bit:
+                break
+        for idx in options:
             chosen.append(idx)
             branch(covered | masks[idx], chosen)
             chosen.pop()
 
     branch(0, [])
-    witness = Covering(tuple(candidates[i] for i in best_choice))
-    assert verify_covering(g, witness, l, m)
+    witness = Covering(tuple(_matching_of(edges, masks[i]) for i in best_choice))
+    if not verify_covering(g, witness, l, m):
+        raise InvariantError(f"brute-force witness is not an [{l},{m}]-covering")
     return IndexResult(best_size, witness, RULE_SEARCH)
 
 

@@ -177,6 +177,25 @@ def test_budget_exceeded_exit_code(tmp_path):
     assert blob["chromatic_index_bracket"] == [3, 4]
 
 
+def test_oracle_budget_exceeded_exit_code(tmp_path):
+    graph = tmp_path / "petersen.el"
+    graph.write_text(format_edge_list(petersen()))
+    proc = _run_subprocess(
+        ["index", "--graph", str(graph), "--l", "4", "--m", "5", "--method", "oracle", "--budget-ms", "0"]
+    )
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["outcome"] == "budget_exceeded"
+
+
+def test_analyze_budget_exceeded_exit_code(tmp_path):
+    graph = tmp_path / "petersen.el"
+    graph.write_text(format_edge_list(petersen()))
+    proc = _run_subprocess(["analyze", "--graph", str(graph), "--compat", "--budget-ms", "0"])
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {"format_version": 1, "outcome": "budget_exceeded"}
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     graph = tmp_path / "petersen.el"
     graph.write_text(format_edge_list(petersen()))

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from excfact import EnumerationCapError, verify_covering
+from excfact import EnumerationCapError, InvariantError, covering_to_json, parse_graph6, verify_covering
 from excfact import excessive as excessive_module
+from excfact import oracle as oracle_module
 from excfact.families import complete, cycle, empty, star
 from excfact.oracle import (
     SweepConfig,
@@ -48,6 +51,11 @@ def test_matching_count_identity():
         g = random_graph(rng, rng.randint(0, 7))
         nonempty = all_matchings(g, 1, g.edge_count or 1)
         assert len(nonempty) == matching_count_by_deletion(g) - 1
+        keys = [tuple(m.sorted_edges()) for m in nonempty]
+        assert keys == sorted(keys)
+        for l in range(1, 4):
+            for m in range(l, 4):
+                assert all_matchings(g, l, m) == [mat for mat in nonempty if l <= len(mat) <= m]
 
 
 def test_min_cover_basics(petersen_graph):
@@ -57,6 +65,25 @@ def test_min_cover_basics(petersen_graph):
     assert result.value == 4
     assert verify_covering(petersen_graph, result.witness, 4, 5)
     assert min_cover_bruteforce(empty(3), 1, 2).value == 0
+
+
+def test_min_cover_reproduces_golden_witnesses():
+    """Values and witnesses (matchings and their order) recorded from the
+    previous implementation: every labelled graph on at most 4 vertices at
+    1 <= l <= m <= 3, and the Petersen graph at [3,5], [4,5] and [5,5]."""
+    golden = json.loads((Path(__file__).parent / "data" / "oracle_witnesses.json").read_text())
+    assert len(golden) == 459
+    for entry in golden:
+        result = min_cover_bruteforce(parse_graph6(entry["graph6"]), entry["l"], entry["m"])
+        value = "infinity" if math.isinf(result.value) else result.value
+        witness = None if result.witness is None else covering_to_json(result.witness)
+        assert (value, witness) == (entry["value"], entry["witness"]), entry
+
+
+def test_min_cover_rejects_unverified_witness(monkeypatch):
+    monkeypatch.setattr(oracle_module, "verify_covering", lambda *args: False)
+    with pytest.raises(InvariantError):
+        min_cover_bruteforce(cycle(4), 1, 2)
 
 
 def test_bruteforce_chromatic_index(petersen_graph):
