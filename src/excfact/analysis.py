@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import ceil
 
 from .coloring import chromatic_index
-from .errors import ParameterError
+from .errors import InvariantError, ParameterError
 from .excessive import excessive_lm_index, excessive_m_index
 from .graphs import SimpleGraph
 from .matching import maximum_matching
@@ -92,7 +92,7 @@ def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
 
     The report also evaluates the incoherence test (the ratio |E|/chi' lies
     strictly between l and m, and the index at size ceil(|E|/chi') exceeds
-    chi') and asserts that it agrees with the definition-level comparison.
+    chi') and checks that it agrees with the definition-level comparison.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
@@ -109,7 +109,8 @@ def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
             characterization = False
     else:
         characterization = False
-    assert coherent == (not characterization), "incoherence test disagrees with definition"
+    if coherent == characterization:
+        raise InvariantError("incoherence test disagrees with definition")
     return CoherenceReport(
         l=l, m=m, coherent=coherent, lhs=lhs, rhs=rhs, characterization_holds=characterization
     )

@@ -14,9 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
+from typing import Callable
 
 from .budget import check_budget
-from .errors import ParameterError, PreconditionError
+from .errors import InvariantError, ParameterError, PreconditionError
 from .graphs import Edge, Multigraph, SimpleGraph, underlying_simple
 from .matching import maximum_matching
 
@@ -55,13 +56,72 @@ def coloring_to_json(c: EdgeColoring) -> dict:
     return {"k": c.k, "classes": [[list(e) for e in sorted(cls)] for cls in c.classes]}
 
 
+def _color_in_order(
+    edges: list[Edge], vertex_count: int, k: int, admits: Callable[[set[Edge]], bool] | None = None
+) -> tuple[frozenset[Edge], ...] | None:
+    """The k colour classes of the first proper colouring found, or None.
+
+    Edges are coloured in the given order, lowest feasible colour first, by
+    backtracking over an explicit index (no recursion, so the depth is not
+    bounded by the interpreter stack).  Colours are introduced in increasing
+    order, and equal consecutive edges (parallel instances) receive
+    increasing colours.  ``admits``, if given, sees a class right after an
+    edge joins it and may reject that colour.  The budget is checked once
+    per search node entered.
+    """
+    n = len(edges)
+    masks = [0] * vertex_count
+    assign = [0] * n  # colour of edges[i], or the last colour tried; 0 = none yet
+    top = [0] * (n + 1)  # top[i]: highest colour among edges[:i]
+    classes: list[set[Edge]] = [set() for _ in range(k)]
+    i = 0
+    check_budget()
+    while i < n:
+        e = edges[i]
+        u, v = e
+        c = assign[i]
+        if c:  # the subtree below colour c failed: undo it and try the next one
+            bit = 1 << c
+            masks[u] ^= bit
+            masks[v] ^= bit
+            classes[c - 1].remove(e)
+            first = c + 1
+        else:
+            first = assign[i - 1] + 1 if i and edges[i - 1] == e else 1
+        taken = masks[u] | masks[v]
+        used = top[i]
+        for c in range(first, (used + 1 if used < k else k) + 1):
+            bit = 1 << c
+            if taken & bit:
+                continue
+            cls = classes[c - 1]
+            cls.add(e)
+            if admits is not None and not admits(cls):
+                cls.remove(e)
+                continue
+            masks[u] |= bit
+            masks[v] |= bit
+            assign[i] = c
+            top[i + 1] = c if c > used else used
+            i += 1
+            check_budget()
+            break
+        else:
+            assign[i] = 0
+            if i == 0:
+                return None
+            i -= 1
+    return tuple(frozenset(cls) for cls in classes)
+
+
 def find_k_edge_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
     """First (lexicographically smallest) proper k-edge colouring, or None.
 
     Edge instances are coloured in sorted order, lowest feasible colour
     first.  Two symmetry breaks keep the search small without changing the
-    first solution found: colours are introduced in increasing order, and
-    parallel instances receive increasing colours.
+    first solution found: colours are introduced in increasing order (an
+    edge may open colour ``c + 1`` only once colours ``1..c`` are in use),
+    and parallel instances receive increasing colours.
     """
     if k < 0:
         return None
@@ -74,35 +134,8 @@ def find_k_edge_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
     # hold at most k * nu instances; this settles dense infeasible cases fast
     if k * len(maximum_matching(underlying_simple(h))) < len(instances):
         return None
-    masks = [0] * h.vertex_count
-    assign = [0] * len(instances)
-
-    def backtrack(i: int, used: int) -> bool:
-        check_budget()
-        if i == len(instances):
-            return True
-        u, v = instances[i]
-        lo = assign[i - 1] + 1 if i and instances[i - 1] == instances[i] else 1
-        for c in range(lo, min(k, used + 1) + 1):
-            bit = 1 << c
-            if (masks[u] | masks[v]) & bit:
-                continue
-            masks[u] |= bit
-            masks[v] |= bit
-            assign[i] = c
-            if backtrack(i + 1, max(used, c)):
-                return True
-            masks[u] ^= bit
-            masks[v] ^= bit
-        assign[i] = 0
-        return False
-
-    if not backtrack(0, 0):
-        return None
-    classes: list[set[Edge]] = [set() for _ in range(k)]
-    for colour, e in zip(assign, instances):
-        classes[colour - 1].add(e)
-    return EdgeColoring(h, tuple(frozenset(cls) for cls in classes))
+    classes = _color_in_order(instances, h.vertex_count, k)
+    return None if classes is None else EdgeColoring(h, classes)
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +210,8 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
                 candidates.append((tuple(sorted(comp_a | comp_b)), comp_a, comp_b))
         # imbalance >= 2 while cycles and balanced paths contribute zero
         # surplus, so a surplus path must exist
-        assert candidates, "no rebalancing path found in an unbalanced colouring"
+        if not candidates:
+            raise InvariantError("no rebalancing path found in an unbalanced colouring")
         _, comp_a, comp_b = min(candidates)
         classes[a] = (classes[a] - comp_a) | comp_b
         classes[b] = (classes[b] - comp_b) | comp_a
@@ -186,7 +220,8 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
     result = EdgeColoring(c.host, tuple(frozenset(cls) for cls in classes))
     total = c.host.edge_count
     k = len(classes)
-    assert all(total // k <= s <= ceil(total / k) for s in result.class_sizes())
+    if not all(total // k <= s <= ceil(total / k) for s in result.class_sizes()):
+        raise InvariantError("equalized class sizes differ by more than one")
     return result
 
 
@@ -208,5 +243,6 @@ def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:
         raise ParameterError("graph has no edges")
     k = max(chromatic_index(g), ceil(g.edge_count / m))
     colouring = equalized_k_coloring(Multigraph.from_simple(g), k)
-    assert colouring is not None and max(colouring.class_sizes()) <= m
+    if colouring is None or max(colouring.class_sizes()) > m:
+        raise InvariantError(f"no {k}-colouring with classes of size at most {m}")
     return colouring

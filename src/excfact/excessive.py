@@ -17,9 +17,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
 
-from .budget import check_budget
-from .coloring import EdgeColoring, chromatic_index, equalize, find_k_edge_coloring, optimal_m_bounded_coloring
-from .errors import ParameterError
+from .coloring import (
+    EdgeColoring,
+    _color_in_order,
+    chromatic_index,
+    equalize,
+    equalized_k_coloring,
+    optimal_m_bounded_coloring,
+)
+from .errors import InvariantError, ParameterError
 from .graphs import (
     Covering,
     Edge,
@@ -91,9 +97,10 @@ def verify_covering(g: SimpleGraph, c: Covering, l: int, m: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _equalized_chromatic_coloring(g: SimpleGraph) -> EdgeColoring:
-    colouring = find_k_edge_coloring(Multigraph.from_simple(g), chromatic_index(g))
-    assert colouring is not None
-    return equalize(colouring)
+    colouring = equalized_k_coloring(Multigraph.from_simple(g), chromatic_index(g))
+    if colouring is None:
+        raise InvariantError("no colouring with chromatic-index many colours")
+    return colouring
 
 
 def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
@@ -109,7 +116,8 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     """
     edge_total = g.edge_count
     chi = chromatic_index(g)
-    assert edge_total >= m * chi and edge_total > 0
+    if edge_total < m * chi or edge_total == 0:
+        raise InvariantError("the ceiling witness needs |E| >= m * chi' > 0")
     k = ceil(edge_total / m)
     t = k * m - edge_total
     psi = _equalized_chromatic_coloring(g)
@@ -117,9 +125,11 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
         host = Multigraph.from_simple(g)
         classes = psi.classes + tuple(frozenset() for _ in range(k - chi))
     else:
-        assert k > chi, "padding is only ever needed when a fresh colour exists"
+        if k <= chi:
+            raise InvariantError("padding is only ever needed when a fresh colour exists")
         donor = sorted(psi.classes[0])
-        assert len(donor) >= m > t
+        if not len(donor) >= m > t:
+            raise InvariantError("the first class cannot donate the padding edges")
         duplicated = donor[:t]
         counts = {e: 1 for e in g.edges}
         for e in duplicated:
@@ -129,7 +139,8 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
             frozenset() for _ in range(k - chi - 1)
         )
     balanced = equalize(EdgeColoring(host, classes))
-    assert all(size == m for size in balanced.class_sizes())
+    if any(size != m for size in balanced.class_sizes()):
+        raise InvariantError("padded colouring did not equalize to size m")
     return covering_induced_by_coloring(g, host, balanced)
 
 
@@ -137,43 +148,11 @@ def _extendable_coloring_search(g: SimpleGraph, k: int, m: int) -> tuple[frozens
     """A k-edge colouring whose classes have size <= m and each extend to an
     [m]-matching, found by deterministic backtracking, or None."""
     edges = g.sorted_edges()
-    total = len(edges)
-    if k * m < total or k < chromatic_index(g):
+    if k * m < len(edges) or k < chromatic_index(g):
         return None
-    masks = [0] * g.vertex_count
-    classes: list[set[Edge]] = [set() for _ in range(k)]
-    sizes = [0] * k
-    assign = [0] * total
-
-    def backtrack(i: int, used: int, capacity: int) -> bool:
-        check_budget()
-        if i == total:
-            return True
-        if capacity < total - i:  # not enough free class slots left
-            return False
-        u, v = edges[i]
-        for c in range(1, min(k, used + 1) + 1):
-            bit = 1 << c
-            if (masks[u] | masks[v]) & bit or sizes[c - 1] == m:
-                continue
-            cls = classes[c - 1]
-            cls.add((u, v))
-            if _forced_value(g, frozenset(cls)) >= m:
-                masks[u] |= bit
-                masks[v] |= bit
-                sizes[c - 1] += 1
-                assign[i] = c
-                if backtrack(i + 1, max(used, c), capacity - 1):
-                    return True
-                masks[u] ^= bit
-                masks[v] ^= bit
-                sizes[c - 1] -= 1
-            cls.remove((u, v))
-        return False
-
-    if not backtrack(0, 0, k * m):
-        return None
-    return tuple(frozenset(cls) for cls in classes)
+    return _color_in_order(
+        edges, g.vertex_count, k, lambda cls: len(cls) <= m and _forced_value(g, frozenset(cls)) >= m
+    )
 
 
 def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
@@ -189,10 +168,11 @@ def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
             extended = []
             for cls in classes:
                 matching = extend_to_lm_matching(g, Matching(cls), m, m)
-                assert matching is not None
+                if matching is None:
+                    raise InvariantError("an admitted class does not extend to an [m]-matching")
                 extended.append(matching)
             return k, Covering(tuple(extended))
-    raise AssertionError("no covering found for a coverable graph")
+    raise InvariantError("no covering found for a coverable graph")
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +189,8 @@ def excessive_m_index(g: SimpleGraph, m: int) -> IndexResult:
     else:
         value, witness = _search_m_index(g, m)
         result = IndexResult(value, witness, RULE_SEARCH)
-    assert verify_covering(g, result.witness, m, m)
+    if not verify_covering(g, result.witness, m, m):
+        raise InvariantError(f"[{m}]-index witness is not a covering")
     return result
 
 
@@ -232,20 +213,22 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
     if edge_total >= m * chi:
         base = excessive_m_index(g, m)
         value = ceil(edge_total / m)
-        assert base.value == value
-        if edge_total == m * chi:  # overlap with the chromatic-index branch
-            assert value == chi
+        if base.value != value:
+            raise InvariantError("[m]-index disagrees with ceil(|E|/m)")
+        if edge_total == m * chi and value != chi:  # overlap with the chromatic-index branch
+            raise InvariantError("ceiling branch disagrees with the chromatic-index branch")
         result = IndexResult(value, base.witness, RULE_FORMULA_CEIL)
     elif l * chi <= edge_total:
         psi = _equalized_chromatic_coloring(g)
         witness = covering_induced_by_coloring(g, Multigraph.from_simple(g), psi)
-        if edge_total == l * chi:  # overlap with the fixed-size branch
-            assert excessive_m_index(g, l).value == chi
+        if edge_total == l * chi and excessive_m_index(g, l).value != chi:  # overlap with the fixed-size branch
+            raise InvariantError("chromatic-index branch disagrees with the [l]-index")
         result = IndexResult(chi, witness, RULE_FORMULA_CHI)
     else:
         base = excessive_m_index(g, l)
         result = IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
-    assert verify_covering(g, result.witness, l, m)
+    if not verify_covering(g, result.witness, l, m):
+        raise InvariantError(f"[{l},{m}]-index witness is not a covering")
     return result
 
 
@@ -253,11 +236,12 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     """Two-branch computation of the [l,m]-index.
 
     Compare the optimal numbers of colours for 1..l-bounded and 1..m-bounded
-    colourings.  If the m-bounded one is strictly smaller, equalizing an
-    optimal m-bounded colouring yields a covering whose sizes already land in
-    [l, m]; otherwise the answer equals the excessive [l]-index.  This path
-    deliberately shares no case analysis with :func:`excessive_lm_index`, so
-    agreement between the two is meaningful cross-validation.
+    colourings.  If the m-bounded one is strictly smaller, an optimal
+    m-bounded colouring (which is equalized) yields a covering whose sizes
+    already land in [l, m]; otherwise the answer equals the excessive
+    [l]-index.  This path deliberately shares no case analysis with
+    :func:`excessive_lm_index`, so agreement between the two is meaningful
+    cross-validation.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
@@ -268,17 +252,17 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     bounded_l = max(chi, ceil(edge_total / l))
     bounded_m = max(chi, ceil(edge_total / m))
     if bounded_m < bounded_l:
-        balanced = equalize(optimal_m_bounded_coloring(g, m))
+        balanced = optimal_m_bounded_coloring(g, m)
         witness = covering_induced_by_coloring(g, Multigraph.from_simple(g), balanced)
         rule = RULE_FORMULA_CEIL if ceil(edge_total / m) > chi else RULE_FORMULA_CHI
         result = IndexResult(bounded_m, witness, rule)
-        assert verify_covering(g, witness, l, m)
-        return result
-    base = excessive_m_index(g, l)
-    if not base.finite:
-        return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
-    result = IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
-    assert verify_covering(g, result.witness, l, m)
+    else:
+        base = excessive_m_index(g, l)
+        if not base.finite:
+            return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
+        result = IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
+    if not verify_covering(g, result.witness, l, m):
+        raise InvariantError(f"two-branch witness is not an [{l},{m}]-covering")
     return result
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .errors import CoveringError, FormatError, PreconditionError, StructuralError
+from .errors import CoveringError, FormatError, InvariantError, PreconditionError, StructuralError
 
 if TYPE_CHECKING:
     from .coloring import EdgeColoring
@@ -52,9 +52,6 @@ class SimpleGraph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -112,11 +109,6 @@ class Multigraph:
     @classmethod
     def from_simple(cls, g: SimpleGraph) -> "Multigraph":
         return cls(g.vertex_count, {e: 1 for e in g.edges})
-
-    @classmethod
-    def from_instances(cls, vertex_count: int, instances: Iterable[Edge]) -> "Multigraph":
-        counts = Counter(normalize_edge(u, v) for u, v in instances)
-        return cls(vertex_count, dict(counts))
 
     def multiplicities(self) -> dict[Edge, int]:
         return dict(self.edges)
@@ -393,7 +385,8 @@ def delete_edge_instances(h: Multigraph, count: int) -> Multigraph:
     for _ in range(count):
         target = min(counts, key=lambda e: (-counts[e], e))
         counts[target] -= 1
-        assert counts[target] >= 1
+        if counts[target] < 1:
+            raise InvariantError("deleted the last instance of an edge")
     return Multigraph(h.vertex_count, counts)
 
 

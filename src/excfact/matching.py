@@ -106,14 +106,19 @@ def maximum_matching(g: SimpleGraph) -> Matching:
     return Matching(frozenset(_max_matching_pairs(g.vertex_count, g.adjacency())))
 
 
-@lru_cache(maxsize=None)
-def _forced_value(g: SimpleGraph, forced_edges: frozenset[Edge]) -> int:
-    banned = {v for e in forced_edges for v in e}
+def _matching_avoiding(g: SimpleGraph, banned: frozenset[int]) -> list[Edge]:
+    """A maximum matching of ``g`` with the vertices in ``banned`` removed."""
     adj = [
         [] if v in banned else [u for u in neighbours if u not in banned]
         for v, neighbours in enumerate(g.adjacency())
     ]
-    return len(forced_edges) + len(_max_matching_pairs(g.vertex_count, adj))
+    return _max_matching_pairs(g.vertex_count, adj)
+
+
+@lru_cache(maxsize=None)
+def _forced_value(g: SimpleGraph, forced_edges: frozenset[Edge]) -> int:
+    banned = frozenset(v for e in forced_edges for v in e)
+    return len(forced_edges) + len(_matching_avoiding(g, banned))
 
 
 def _require_submatching(g: SimpleGraph, forced: Matching) -> None:
@@ -147,12 +152,7 @@ def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matchi
     _require_submatching(g, n)
     if len(n) > m:
         return None
-    banned = n.vertices()
-    adj = [
-        [] if v in banned else [u for u in neighbours if u not in banned]
-        for v, neighbours in enumerate(g.adjacency())
-    ]
-    extra = sorted(_max_matching_pairs(g.vertex_count, adj))
+    extra = sorted(_matching_avoiding(g, n.vertices()))
     target = max(l, len(n))
     if len(n) + len(extra) < target:
         return None

@@ -25,7 +25,7 @@ from excfact import (
     verify_covering,
 )
 from excfact.coloring import EdgeColoring
-from excfact.families import complete, cycle, empty, star
+from excfact.families import complete, cycle, empty, path, star
 from excfact.oracle import all_matchings, chromatic_index_bruteforce, enumerate_labeled_graphs
 from strategies import random_valid_coloring
 
@@ -185,3 +185,13 @@ def test_optimal_m_bounded_uses_exact_colour_count():
                 expected = max(chromatic_index(g), -(-g.edge_count // m))
                 assert colouring.k == expected
                 assert max(colouring.class_sizes()) <= m
+
+
+def test_search_depth_is_not_bounded_by_the_interpreter_stack():
+    # the search depth is one node per edge, far beyond the recursion limit
+    assert chromatic_index(path(3000)) == 2
+    assert chromatic_index(cycle(1001)) == 3
+    host = Multigraph.from_simple(path(3000))
+    colouring = find_k_edge_coloring(host, 2)
+    assert colouring is not None and colouring.host == host and colouring.k == 2
+    assert sorted(colouring.class_sizes()) == [1499, 1500]

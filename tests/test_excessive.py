@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,16 +12,23 @@ from excfact import (
     Covering,
     INFINITY,
     Matching,
+    InvariantError,
+    Multigraph,
     ParameterError,
     SimpleGraph,
     chromatic_index,
+    covering_to_json,
     exc_algorithm,
     excessive_lm_index,
     excessive_m_index,
     is_lm_coverable,
+    find_k_edge_coloring,
     lm_index_via_pairs,
+    parse_graph6,
     verify_covering,
 )
+from excfact import excessive as excessive_module
+from excfact.coloring import coloring_to_json
 from excfact.excessive import (
     RULE_FORMULA_CHI,
     RULE_FORMULA_EXC_L,
@@ -240,3 +249,32 @@ def test_result_json_shape(petersen_graph):
     infinite = excessive_lm_index(star(3), 2, 2)
     blob = index_result_to_json(star(3), 2, 2, infinite)
     assert blob["value"] == "infinity" and blob["witness"] is None
+
+
+def test_main_path_reproduces_golden_witnesses():
+    """Values, rules and witnesses (matchings and their order) recorded from
+    the previous implementation: the [m]-index for m = 1..3 on 60 seeded
+    random 7-vertex graphs and for m = 1..5 on the Petersen graph (35 of
+    these windows take the SEARCH rule), plus k-colourings of two
+    multigraphs with parallel edges."""
+    golden = json.loads((Path(__file__).parent / "data" / "main_witnesses.json").read_text())
+    assert len(golden) == 189
+    assert sum(entry.get("rule") == RULE_SEARCH for entry in golden) == 35
+    for entry in golden:
+        if "graph6" in entry:
+            result = excessive_m_index(parse_graph6(entry["graph6"]), entry["m"])
+            value = "infinity" if math.isinf(result.value) else result.value
+            witness = None if result.witness is None else covering_to_json(result.witness)
+            assert (value, result.rule, witness) == (entry["value"], entry["rule"], entry["witness"]), entry
+        else:
+            host = Multigraph(entry["vertex_count"], {tuple(e): t for e, t in entry["edges"]})
+            colouring = find_k_edge_coloring(host, entry["k"])
+            assert (None if colouring is None else coloring_to_json(colouring)) == entry["coloring"], entry
+
+
+def test_unverified_witness_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(excessive_module, "verify_covering", lambda *args: False)
+    excessive_lm_index.cache_clear()
+    excessive_m_index.cache_clear()
+    with pytest.raises(InvariantError):
+        excessive_lm_index(cycle(4), 1, 2)
