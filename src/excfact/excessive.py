@@ -23,7 +23,6 @@ from .coloring import (
     chromatic_index,
     equalize,
     equalized_k_coloring,
-    optimal_m_bounded_coloring,
 )
 from .errors import InvariantError, ParameterError
 from .graphs import (
@@ -96,11 +95,12 @@ def verify_covering(g: SimpleGraph, c: Covering, l: int, m: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _equalized_chromatic_coloring(g: SimpleGraph) -> EdgeColoring:
-    colouring = equalized_k_coloring(Multigraph.from_simple(g), chromatic_index(g))
+def _equalized_coloring(g: SimpleGraph, k: int) -> tuple[EdgeColoring, Covering]:
+    """The equalized k-edge-colouring of ``g`` and the covering its classes induce."""
+    colouring = equalized_k_coloring(Multigraph.from_simple(g), k)
     if colouring is None:
-        raise InvariantError("no colouring with chromatic-index many colours")
-    return colouring
+        raise InvariantError(f"no colouring with {k} colours")
+    return colouring, covering_induced_by_coloring(g, colouring.host, colouring)
 
 
 def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
@@ -120,7 +120,7 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
         raise InvariantError("the ceiling witness needs |E| >= m * chi' > 0")
     k = ceil(edge_total / m)
     t = k * m - edge_total
-    psi = _equalized_chromatic_coloring(g)
+    psi, _ = _equalized_coloring(g, chi)
     if t == 0:
         host = Multigraph.from_simple(g)
         classes = psi.classes + tuple(frozenset() for _ in range(k - chi))
@@ -219,8 +219,7 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
             raise InvariantError("ceiling branch disagrees with the chromatic-index branch")
         result = IndexResult(value, base.witness, RULE_FORMULA_CEIL)
     elif l * chi <= edge_total:
-        psi = _equalized_chromatic_coloring(g)
-        witness = covering_induced_by_coloring(g, Multigraph.from_simple(g), psi)
+        _, witness = _equalized_coloring(g, chi)
         if edge_total == l * chi and excessive_m_index(g, l).value != chi:  # overlap with the fixed-size branch
             raise InvariantError("chromatic-index branch disagrees with the [l]-index")
         result = IndexResult(chi, witness, RULE_FORMULA_CHI)
@@ -236,12 +235,13 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     """Two-branch computation of the [l,m]-index.
 
     Compare the optimal numbers of colours for 1..l-bounded and 1..m-bounded
-    colourings.  If the m-bounded one is strictly smaller, an optimal
-    m-bounded colouring (which is equalized) yields a covering whose sizes
-    already land in [l, m]; otherwise the answer equals the excessive
-    [l]-index.  This path deliberately shares no case analysis with
-    :func:`excessive_lm_index`, so agreement between the two is meaningful
-    cross-validation.
+    colourings, ``max(chi', ceil(|E|/l))`` and ``max(chi', ceil(|E|/m))``.
+    If the m-bounded one is strictly smaller, the equalized colouring with
+    that many colours yields a covering whose sizes already land in [l, m];
+    otherwise the answer equals the excessive [l]-index.  The colouring comes
+    from the (graph, k) memo that :func:`excessive_lm_index` also reads; this
+    route's independence lies in its case analysis, which shares nothing with
+    the closed form, so agreement between the two cross-validates the split.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
@@ -252,8 +252,7 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     bounded_l = max(chi, ceil(edge_total / l))
     bounded_m = max(chi, ceil(edge_total / m))
     if bounded_m < bounded_l:
-        balanced = optimal_m_bounded_coloring(g, m)
-        witness = covering_induced_by_coloring(g, Multigraph.from_simple(g), balanced)
+        _, witness = _equalized_coloring(g, bounded_m)
         rule = RULE_FORMULA_CEIL if ceil(edge_total / m) > chi else RULE_FORMULA_CHI
         result = IndexResult(bounded_m, witness, rule)
     else:

@@ -165,9 +165,17 @@ def _min_edge_extension(g: SimpleGraph) -> int:
 
 
 def is_lm_coverable(g: SimpleGraph, l: int) -> bool:
-    """Whether every edge of ``g`` lies in a matching of size at least ``l``."""
+    """Whether every edge of ``g`` lies in a matching of size at least ``l``.
+
+    Forcing an edge uv leaves a matching of ``g - u - v`` with at least
+    ``nu - 2`` edges, so the largest matching through any edge has ``nu - 1``
+    or ``nu`` edges.  Only ``l = nu`` needs a matching per edge.
+    """
     if l < 1:
         raise ParameterError("l must be at least 1")
     if not g.edges:
         return True
+    nu = len(maximum_matching(g))
+    if l != nu:
+        return l < nu
     return _min_edge_extension(g) >= l

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from excfact import (
     ParameterError,
     SimpleGraph,
     chromatic_index,
+    covering_induced_by_coloring,
     covering_to_json,
     exc_algorithm,
     excessive_lm_index,
@@ -24,12 +27,14 @@ from excfact import (
     is_lm_coverable,
     find_k_edge_coloring,
     lm_index_via_pairs,
+    optimal_m_bounded_coloring,
     parse_graph6,
     verify_covering,
 )
 from excfact import excessive as excessive_module
 from excfact.coloring import coloring_to_json
 from excfact.excessive import (
+    RULE_FORMULA_CEIL,
     RULE_FORMULA_CHI,
     RULE_FORMULA_EXC_L,
     RULE_LEMMA_CF,
@@ -38,8 +43,8 @@ from excfact.excessive import (
     IndexResult,
     index_result_to_json,
 )
-from excfact.families import cycle, empty, star
-from excfact.oracle import enumerate_labeled_graphs, min_cover_bruteforce
+from excfact.families import cycle, empty, petersen, star
+from excfact.oracle import enumerate_labeled_graphs, min_cover_bruteforce, random_graph
 
 
 def _small_graphs(max_vertices):
@@ -270,6 +275,58 @@ def test_main_path_reproduces_golden_witnesses():
             host = Multigraph(entry["vertex_count"], {tuple(e): t for e, t in entry["edges"]})
             colouring = find_k_edge_coloring(host, entry["k"])
             assert (None if colouring is None else coloring_to_json(colouring)) == entry["coloring"], entry
+
+
+def _result_blob(result: IndexResult) -> dict:
+    return {
+        "value": "infinity" if math.isinf(result.value) else result.value,
+        "rule": result.rule,
+        "witness": None if result.witness is None else covering_to_json(result.witness),
+    }
+
+
+def _takes_m_bounded_branch(g: SimpleGraph, l: int, m: int) -> bool:
+    chi = chromatic_index(g)
+    return bool(g.edges) and max(chi, ceil(g.edge_count / m)) < max(chi, ceil(g.edge_count / l))
+
+
+def test_lm_windows_reproduce_golden_witnesses():
+    """Values, rules and witnesses of both [l,m] routes recorded from the
+    previous implementation, for every window 1 <= l <= m <= nu of Petersen,
+    K5, K6, C7, the flower snark J5 and 40 seeded random 7-vertex graphs."""
+    golden = json.loads((Path(__file__).parent / "data" / "lm_witnesses.json").read_text())
+    assert len(golden) == 272
+    rules = {entry["excessive_lm_index"]["rule"] for entry in golden}
+    assert {RULE_FORMULA_CHI, RULE_FORMULA_CEIL, RULE_FORMULA_EXC_L} <= rules
+    above_chi = 0
+    for entry in golden:
+        g, l, m = parse_graph6(entry["graph6"]), entry["l"], entry["m"]
+        assert _result_blob(excessive_lm_index(g, l, m)) == entry["excessive_lm_index"], entry
+        assert _result_blob(exc_algorithm(g, l, m)) == entry["exc_algorithm"], entry
+        if _takes_m_bounded_branch(g, l, m) and ceil(g.edge_count / m) > chromatic_index(g):
+            above_chi += 1
+    assert above_chi == 46  # m-bounded witnesses with more than chi' colours
+
+
+def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
+    """The m-bounded branch of the two-branch route takes its witness from the
+    memo; it must equal the covering of the public optimal m-bounded
+    colouring, matchings in the same order."""
+    rng = random.Random(4)
+    graphs = [petersen()] + [random_graph(rng, rng.choice((6, 7, 8))) for _ in range(60)]
+    above_chi_seen = set()
+    for g in graphs:
+        for m in range(1, 6):
+            for l in range(1, m + 1):
+                if not _takes_m_bounded_branch(g, l, m):
+                    continue
+                result = exc_algorithm(g, l, m)
+                expected = covering_induced_by_coloring(
+                    g, Multigraph.from_simple(g), optimal_m_bounded_coloring(g, m)
+                )
+                assert covering_to_json(result.witness) == covering_to_json(expected), (g, l, m)
+                above_chi_seen.add(ceil(g.edge_count / m) > chromatic_index(g))
+    assert above_chi_seen == {False, True}  # both k = chi' and k > chi' occur
 
 
 def test_unverified_witness_raises_invariant_error(monkeypatch):

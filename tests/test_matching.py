@@ -18,7 +18,7 @@ from excfact import (
     max_matching_with_forced,
     maximum_matching,
 )
-from excfact.families import cycle, empty, star
+from excfact.families import cycle, empty, path, star
 from excfact.oracle import (
     all_matchings,
     enumerate_labeled_graphs,
@@ -146,3 +146,15 @@ def test_coverability_antitone(g):
     assert all(a or not b for a, b in zip(flags, flags[1:]))
     if g.edges:
         assert not flags[-1]  # l = nu + 1 is never coverable
+
+
+@given(simple_graphs(max_vertices=8))
+def test_coverability_is_the_per_edge_forced_matching_test(g):
+    nu = len(maximum_matching(g))
+    for l in range(1, nu + 2):
+        expected = all(max_matching_with_forced(g, Matching(frozenset({e}))) >= l for e in g.edges)
+        assert is_lm_coverable(g, l) == expected
+
+
+def test_coverability_below_the_matching_number_needs_no_per_edge_search():
+    assert is_lm_coverable(path(3000), 5)
