@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .analysis import (
@@ -120,9 +121,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = SweepConfig(max_vertices=args.max_vertices, max_m=args.max_m, seed=args.seed)
+    start = time.monotonic()
     records = small_graph_sweep(config)
     for record in records:
         print(json.dumps(record))
+    scope = f"n<={config.max_vertices}, m<={config.max_m}, seed={config.seed}"
+    print(f"# sweep {scope}: {len(records)} discrepancies in {time.monotonic() - start:.1f}s", file=sys.stderr)
     return 0 if not records else 1
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil
 
 from .coloring import (
@@ -144,14 +144,14 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     return covering_induced_by_coloring(g, host, balanced)
 
 
-def _extendable_coloring_search(g: SimpleGraph, k: int, m: int) -> tuple[frozenset[Edge], ...] | None:
+def _extendable_coloring_search(g: SimpleGraph, k: int, m: int, forced_value) -> tuple[frozenset[Edge], ...] | None:
     """A k-edge colouring whose classes have size <= m and each extend to an
-    [m]-matching, found by deterministic backtracking, or None."""
+    [m]-matching (``forced_value(cls) >= m``), by deterministic backtracking, or None."""
     edges = g.sorted_edges()
     if k * m < len(edges) or k < chromatic_index(g):
         return None
     return _color_in_order(
-        edges, g.vertex_count, k, lambda cls: len(cls) <= m and _forced_value(g, frozenset(cls)) >= m
+        edges, g.vertex_count, k, lambda cls: len(cls) <= m and forced_value(frozenset(cls)) >= m
     )
 
 
@@ -161,9 +161,10 @@ def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
     ``|E|`` colours always suffice for a coverable graph (single edges
     extend), so the increasing search terminates.
     """
+    forced_value = lru_cache(maxsize=None)(partial(_forced_value, g))  # revisited classes, this search only
     start = max(chromatic_index(g), ceil(g.edge_count / m))
     for k in range(start, g.edge_count + 1):
-        classes = _extendable_coloring_search(g, k, m)
+        classes = _extendable_coloring_search(g, k, m, forced_value)
         if classes is not None:
             extended = []
             for cls in classes:
@@ -194,7 +195,6 @@ def excessive_m_index(g: SimpleGraph, m: int) -> IndexResult:
     return result
 
 
-@lru_cache(maxsize=None)
 def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
     """Excessive [l,m]-index via the closed form on the ratio |E|/chi'.
 

@@ -115,7 +115,6 @@ def _matching_avoiding(g: SimpleGraph, banned: frozenset[int]) -> list[Edge]:
     return _max_matching_pairs(g.vertex_count, adj)
 
 
-@lru_cache(maxsize=None)
 def _forced_value(g: SimpleGraph, forced_edges: frozenset[Edge]) -> int:
     banned = frozenset(v for e in forced_edges for v in e)
     return len(forced_edges) + len(_matching_avoiding(g, banned))

@@ -112,8 +112,9 @@ def test_analyze_requires_a_report(capsys, petersen_file):
 
 
 def test_sweep_clean_scope_prints_nothing(capsys):
-    code, out, _ = _run(capsys, ["sweep", "--max-vertices", "4", "--max-m", "4"])
+    code, out, err = _run(capsys, ["sweep", "--max-vertices", "4", "--max-m", "4"])
     assert code == 0 and out == ""
+    assert len(err.splitlines()) == 1 and "0 discrepancies" in err
 
 
 def test_render_single_edge(capsys, tmp_path):

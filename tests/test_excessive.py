@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from math import ceil
 from pathlib import Path
 
@@ -44,7 +45,13 @@ from excfact.excessive import (
     index_result_to_json,
 )
 from excfact.families import cycle, empty, petersen, star
-from excfact.oracle import enumerate_labeled_graphs, min_cover_bruteforce, random_graph
+from excfact.oracle import (
+    SweepConfig,
+    enumerate_labeled_graphs,
+    min_cover_bruteforce,
+    random_graph,
+    small_graph_sweep,
+)
 
 
 def _small_graphs(max_vertices):
@@ -331,7 +338,25 @@ def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
 
 def test_unverified_witness_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(excessive_module, "verify_covering", lambda *args: False)
-    excessive_lm_index.cache_clear()
     excessive_m_index.cache_clear()
     with pytest.raises(InvariantError):
         excessive_lm_index(cycle(4), 1, 2)
+    with pytest.raises(InvariantError):  # the sweep relies on the routes' own checks
+        small_graph_sweep(SweepConfig(max_vertices=2, max_m=1))
+
+
+def test_memos_hold_per_graph_values_only():
+    """A SEARCH-rule index leaves no per-window or per-class entries behind:
+    the colouring search's admission memo is dropped when the search returns."""
+    memos = {
+        id(f): f
+        for name, module in sys.modules.items()
+        if name == "excfact" or name.startswith("excfact.")
+        for f in vars(module).values()
+        if callable(getattr(f, "cache_clear", None))
+    }.values()
+    for f in memos:
+        f.cache_clear()
+    result = excessive_m_index(petersen(), 5)
+    assert (result.value, result.rule) == (5, RULE_SEARCH)
+    assert sum(f.cache_info().currsize for f in memos) <= 5
