@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import sys
 from math import ceil
 from pathlib import Path
 
@@ -52,6 +51,7 @@ from excfact.oracle import (
     random_graph,
     small_graph_sweep,
 )
+from memos import excfact_memos
 
 
 def _small_graphs(max_vertices):
@@ -348,13 +348,7 @@ def test_unverified_witness_raises_invariant_error(monkeypatch):
 def test_memos_hold_per_graph_values_only():
     """A SEARCH-rule index leaves no per-window or per-class entries behind:
     the colouring search's admission memo is dropped when the search returns."""
-    memos = {
-        id(f): f
-        for name, module in sys.modules.items()
-        if name == "excfact" or name.startswith("excfact.")
-        for f in vars(module).values()
-        if callable(getattr(f, "cache_clear", None))
-    }.values()
+    memos = excfact_memos()
     for f in memos:
         f.cache_clear()
     result = excessive_m_index(petersen(), 5)
