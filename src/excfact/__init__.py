@@ -24,7 +24,6 @@ from .coloring import (
 )
 from .errors import (
     BudgetExceededError,
-    CoveringError,
     EnumerationCapError,
     FormatError,
     InvariantError,
@@ -50,19 +49,15 @@ from .graphs import (
     covering_from_json,
     covering_induced_by_coloring,
     covering_to_json,
-    delete_edge_instances,
     encode_graph6,
     format_edge_list,
-    induced_multigraph,
     parse_edge_list,
     parse_graph6,
     underlying_simple,
 )
 from .matching import (
     extend_to_lm_matching,
-    extends_to_lm_matching,
     is_lm_coverable,
-    max_matching_with_forced,
     maximum_matching,
 )
 
@@ -71,7 +66,6 @@ __all__ = [
     "CoherenceReport",
     "CompatibilityReport",
     "Covering",
-    "CoveringError",
     "Edge",
     "EdgeColoring",
     "EnumerationCapError",
@@ -93,7 +87,6 @@ __all__ = [
     "covering_from_json",
     "covering_induced_by_coloring",
     "covering_to_json",
-    "delete_edge_instances",
     "encode_graph6",
     "equalize",
     "equalized_k_coloring",
@@ -101,14 +94,11 @@ __all__ = [
     "excessive_lm_index",
     "excessive_m_index",
     "extend_to_lm_matching",
-    "extends_to_lm_matching",
     "find_k_edge_coloring",
     "format_edge_list",
-    "induced_multigraph",
     "is_lm_compatible",
     "is_lm_coverable",
     "lm_index_via_pairs",
-    "max_matching_with_forced",
     "maximum_matching",
     "optimal_m_bounded_coloring",
     "parse_edge_list",

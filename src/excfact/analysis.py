@@ -75,7 +75,7 @@ def compatibility_function(g: SimpleGraph, m: int) -> int:
     for l in range(m, 0, -1):
         if is_lm_compatible(g, l, m):
             return l
-    raise AssertionError("unreachable: [1,m]-compatibility always holds")
+    raise InvariantError("unreachable: [1,m]-compatibility always holds")
 
 
 def compatibility_report(g: SimpleGraph, max_m: int) -> CompatibilityReport:

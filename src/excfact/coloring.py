@@ -153,33 +153,36 @@ def chromatic_index(g: SimpleGraph) -> int:
     return d + 1
 
 
-def _path_components(a_edges: set[Edge], b_edges: set[Edge]):
-    """Path components of the union of two disjoint matchings.
+def _surplus_path(a_edges: set[Edge], b_edges: set[Edge]) -> tuple[set[Edge], set[Edge]] | None:
+    """The lexicographically smallest path component of the union of two
+    disjoint matchings with one more edge of ``a`` than of ``b``, as its
+    ``a`` and ``b`` edges, or None.
 
-    Yields ``(edges_in_a, edges_in_b)`` per path; cycle components are
-    balanced and therefore irrelevant to rebalancing, so they are skipped.
+    Components are edge-disjoint, so that is the first such component met
+    when the union is walked in sorted-edge order.
     """
-    incident: dict[int, list[tuple[int, Edge, bool]]] = {}
-    for is_a, edges in ((True, a_edges), (False, b_edges)):
-        for u, v in edges:
-            incident.setdefault(u, []).append((v, (u, v), is_a))
-            incident.setdefault(v, []).append((u, (u, v), is_a))
+    at: tuple[dict[int, Edge], dict[int, Edge]] = ({}, {})  # vertex -> its edge in a, in b
+    for side, edges in enumerate((a_edges, b_edges)):
+        for e in edges:
+            at[side][e[0]] = at[side][e[1]] = e
     visited: set[Edge] = set()
-    for start in sorted(v for v, inc in incident.items() if len(inc) == 1):
-        (next_vertex, first_edge, first_is_a), = incident[start]
-        if first_edge in visited:
+    for first in sorted(a_edges | b_edges):
+        if first in visited:
             continue
-        comp_a: set[Edge] = set()
-        comp_b: set[Edge] = set()
-        edge, vertex, is_a = first_edge, next_vertex, first_is_a
-        while True:
-            visited.add(edge)
-            (comp_a if is_a else comp_b).add(edge)
-            step = [item for item in incident[vertex] if item[1] != edge]
-            if not step:
-                break
-            vertex, edge, is_a = step[0]
-        yield comp_a, comp_b
+        visited.add(first)
+        start_side = 0 if first in a_edges else 1
+        comp: tuple[set[Edge], set[Edge]] = (set(), set())
+        comp[start_side].add(first)
+        for vertex in first:  # walk away from ``first`` through each endpoint
+            side = 1 - start_side
+            while (e := at[side].get(vertex)) is not None and e not in visited:
+                visited.add(e)
+                comp[side].add(e)
+                vertex = e[0] if e[1] == vertex else e[1]
+                side = 1 - side
+        if len(comp[0]) == len(comp[1]) + 1:
+            return comp
+    return None
 
 
 def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
@@ -204,15 +207,12 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
         a = sizes.index(hi)
         b = sizes.index(lo)
         common = classes[a] & classes[b]
-        candidates = []
-        for comp_a, comp_b in _path_components(classes[a] - common, classes[b] - common):
-            if len(comp_a) == len(comp_b) + 1:
-                candidates.append((tuple(sorted(comp_a | comp_b)), comp_a, comp_b))
+        found = _surplus_path(classes[a] - common, classes[b] - common)
         # imbalance >= 2 while cycles and balanced paths contribute zero
         # surplus, so a surplus path must exist
-        if not candidates:
+        if found is None:
             raise InvariantError("no rebalancing path found in an unbalanced colouring")
-        _, comp_a, comp_b = min(candidates)
+        comp_a, comp_b = found
         classes[a] = (classes[a] - comp_a) | comp_b
         classes[b] = (classes[b] - comp_b) | comp_a
         if trace is not None:
@@ -235,7 +235,8 @@ def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:
 
     ``max(chromatic_index(g), ceil(|E|/m))`` colours are always enough: the
     equalized colouring with that many colours has classes of size at most
-    ``ceil(|E|/k) <= m``, and fewer colours are impossible.
+    ``ceil(|E|/k) <= m``, and fewer colours are impossible.  Public as the
+    paper's optimal m-bounded colouring, which the acceptance gate checks.
     """
     if m < 1:
         raise ParameterError("m must be at least 1")

@@ -5,10 +5,6 @@ class FormatError(ValueError):
     """Malformed textual graph input (edge list or graph6)."""
 
 
-class CoveringError(ValueError):
-    """A covering references edges that are not in the host graph."""
-
-
 class StructuralError(ValueError):
     """Two structures that must sit over the same graph do not."""
 

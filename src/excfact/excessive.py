@@ -100,7 +100,7 @@ def _equalized_coloring(g: SimpleGraph, k: int) -> tuple[EdgeColoring, Covering]
     colouring = equalized_k_coloring(Multigraph.from_simple(g), k)
     if colouring is None:
         raise InvariantError(f"no colouring with {k} colours")
-    return colouring, covering_induced_by_coloring(g, colouring.host, colouring)
+    return colouring, covering_induced_by_coloring(g, colouring)
 
 
 def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
@@ -141,30 +141,23 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     balanced = equalize(EdgeColoring(host, classes))
     if any(size != m for size in balanced.class_sizes()):
         raise InvariantError("padded colouring did not equalize to size m")
-    return covering_induced_by_coloring(g, host, balanced)
-
-
-def _extendable_coloring_search(g: SimpleGraph, k: int, m: int, forced_value) -> tuple[frozenset[Edge], ...] | None:
-    """A k-edge colouring whose classes have size <= m and each extend to an
-    [m]-matching (``forced_value(cls) >= m``), by deterministic backtracking, or None."""
-    edges = g.sorted_edges()
-    if k * m < len(edges) or k < chromatic_index(g):
-        return None
-    return _color_in_order(
-        edges, g.vertex_count, k, lambda cls: len(cls) <= m and forced_value(frozenset(cls)) >= m
-    )
+    return covering_induced_by_coloring(g, balanced)
 
 
 def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
-    """Smallest k admitting a colouring whose classes extend to [m]-matchings.
+    """Smallest k admitting a k-edge colouring whose classes have size <= m
+    and each extend to an [m]-matching, by deterministic backtracking.
 
     ``|E|`` colours always suffice for a coverable graph (single edges
     extend), so the increasing search terminates.
     """
     forced_value = lru_cache(maxsize=None)(partial(_forced_value, g))  # revisited classes, this search only
+    edges = g.sorted_edges()
     start = max(chromatic_index(g), ceil(g.edge_count / m))
     for k in range(start, g.edge_count + 1):
-        classes = _extendable_coloring_search(g, k, m, forced_value)
+        classes = _color_in_order(
+            edges, g.vertex_count, k, lambda cls: len(cls) <= m and forced_value(frozenset(cls)) >= m
+        )
         if classes is not None:
             extended = []
             for cls in classes:

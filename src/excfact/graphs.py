@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .errors import CoveringError, FormatError, InvariantError, PreconditionError, StructuralError
+from .errors import FormatError, PreconditionError, StructuralError
 
 if TYPE_CHECKING:
     from .coloring import EdgeColoring
@@ -113,9 +113,6 @@ class Multigraph:
     def multiplicities(self) -> dict[Edge, int]:
         return dict(self.edges)
 
-    def multiplicity(self, e: Edge) -> int:
-        return self.multiplicities().get(normalize_edge(*e), 0)
-
     def support(self) -> frozenset[Edge]:
         return frozenset(e for e, _ in self.edges)
 
@@ -130,9 +127,6 @@ class Multigraph:
     def edge_count(self) -> int:
         """Number of edges counted with multiplicity."""
         return sum(mult for _, mult in self.edges)
-
-    def degree(self, v: int) -> int:
-        return sum(mult for (a, b), mult in self.edges if v in (a, b))
 
     def max_degree(self) -> int:
         counts: Counter[int] = Counter()
@@ -197,13 +191,6 @@ class Covering:
 
     def __hash__(self) -> int:
         return hash(self.canonical())
-
-    def edge_support(self) -> frozenset[Edge]:
-        return frozenset(e for m in self.matchings for e in m.edges)
-
-    def total_size(self) -> int:
-        """Sum of matching sizes (edge instances counted with repetition)."""
-        return sum(len(m) for m in self.matchings)
 
 
 # ---------------------------------------------------------------------------
@@ -346,48 +333,16 @@ def parse_graph6(text: str) -> SimpleGraph:
 # constructions between graphs, coverings, and colourings
 
 
-def induced_multigraph(g: SimpleGraph, covering: Covering) -> Multigraph:
-    """Multigraph whose multiplicities count how many matchings use each edge."""
-    counts: Counter[Edge] = Counter()
-    for idx, m in enumerate(covering.matchings):
-        for e in m.edges:
-            if e not in g.edges:
-                raise CoveringError(f"matching {idx} contains non-edge {e}")
-            counts[e] += 1
-    return Multigraph(g.vertex_count, dict(counts))
-
-
 def underlying_simple(h: Multigraph) -> SimpleGraph:
     return SimpleGraph(h.vertex_count, h.support())
 
 
-def covering_induced_by_coloring(
-    g: SimpleGraph, h: Multigraph, coloring: "EdgeColoring"
-) -> Covering:
-    """Project the colour classes of a colouring of ``h`` onto matchings of ``g``."""
-    if underlying_simple(h) != g:
+def covering_induced_by_coloring(g: SimpleGraph, coloring: "EdgeColoring") -> Covering:
+    """Project the colour classes of a colouring of a multigraph over ``g``
+    onto matchings of ``g``."""
+    if underlying_simple(coloring.host) != g:
         raise StructuralError("multigraph does not have the given graph as underlying simple graph")
-    if coloring.host != h:
-        raise StructuralError("colouring does not belong to the given multigraph")
     return Covering(tuple(Matching(cls) for cls in coloring.classes))
-
-
-def delete_edge_instances(h: Multigraph, count: int) -> Multigraph:
-    """Remove ``count`` surplus edge instances, preserving the underlying graph.
-
-    Instances are removed by repeatedly decrementing a maximum-multiplicity
-    pair, ties broken by the lexicographically smallest pair.
-    """
-    surplus = h.edge_count - len(h.support())
-    if count < 0 or count > surplus:
-        raise PreconditionError(f"cannot delete {count} instances; removable surplus is {surplus}")
-    counts = h.multiplicities()
-    for _ in range(count):
-        target = min(counts, key=lambda e: (-counts[e], e))
-        counts[target] -= 1
-        if counts[target] < 1:
-            raise InvariantError("deleted the last instance of an edge")
-    return Multigraph(h.vertex_count, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -116,27 +116,9 @@ def _matching_avoiding(g: SimpleGraph, banned: frozenset[int]) -> list[Edge]:
 
 
 def _forced_value(g: SimpleGraph, forced_edges: frozenset[Edge]) -> int:
+    """Largest size of a matching of ``g`` that contains ``forced_edges``."""
     banned = frozenset(v for e in forced_edges for v in e)
     return len(forced_edges) + len(_matching_avoiding(g, banned))
-
-
-def _require_submatching(g: SimpleGraph, forced: Matching) -> None:
-    if not forced.edges <= g.edges:
-        raise PreconditionError("forced edges must all belong to the graph")
-
-
-def max_matching_with_forced(g: SimpleGraph, forced: Matching) -> int:
-    """Largest size of a matching of ``g`` containing every edge of ``forced``."""
-    _require_submatching(g, forced)
-    return _forced_value(g, forced.edges)
-
-
-def extends_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> bool:
-    """Whether ``n`` is contained in some matching of size between l and m."""
-    if l > m:
-        raise ParameterError(f"invalid size window [{l}, {m}]")
-    _require_submatching(g, n)
-    return len(n) <= m and _forced_value(g, n.edges) >= l
 
 
 def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matching | None:
@@ -148,7 +130,8 @@ def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matchi
     """
     if l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
-    _require_submatching(g, n)
+    if not n.edges <= g.edges:
+        raise PreconditionError("forced edges must all belong to the graph")
     if len(n) > m:
         return None
     extra = sorted(_matching_avoiding(g, n.vertices()))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from excfact import (
+    InvariantError,
     ParameterError,
     coherence_report,
     compatibility_function,
@@ -16,6 +17,7 @@ from excfact import (
     is_lm_compatible,
     parse_graph6,
 )
+from excfact import analysis
 from excfact.analysis import (
     coherence_report_to_json,
     compatibility_report_to_json,
@@ -60,6 +62,12 @@ def test_compatibility_function_errors():
         compatibility_function(empty(2), 1)
     with pytest.raises(ParameterError):
         compatibility_function(cycle(4), 0)
+
+
+def test_compatibility_function_raises_invariant_error_when_l_one_fails(monkeypatch):
+    monkeypatch.setattr(analysis, "is_lm_compatible", lambda *args: False)
+    with pytest.raises(InvariantError):
+        compatibility_function(cycle(4), 2)
 
 
 def test_compatibility_is_downward_closed_in_l():

@@ -20,7 +20,6 @@ from excfact import (
     equalize,
     equalized_k_coloring,
     find_k_edge_coloring,
-    induced_multigraph,
     optimal_m_bounded_coloring,
     verify_covering,
 )
@@ -117,13 +116,13 @@ def test_equalize_induced_petersen_multigraph(petersen_graph):
     i, j, k = first_valid
     rest = Matching(petersen_graph.edges - perfect[i].edges - perfect[j].edges - perfect[k].edges)
     covering = Covering((perfect[i], perfect[j], perfect[k], rest))
-    host = induced_multigraph(petersen_graph, covering)
+    host = Multigraph(petersen_graph.vertex_count, Counter(e for m in covering for e in m.edges))
     assert host.edge_count == 18
     colouring = find_k_edge_coloring(host, 4)
     assert colouring is not None
     balanced = equalize(colouring)
     assert sorted(balanced.class_sizes()) == [4, 4, 5, 5]
-    projected = covering_induced_by_coloring(petersen_graph, host, balanced)
+    projected = covering_induced_by_coloring(petersen_graph, balanced)
     assert verify_covering(petersen_graph, projected, 4, 5)
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given
 
 from excfact import (
     Covering,
-    CoveringError,
     FormatError,
     Matching,
     Multigraph,
@@ -18,11 +19,9 @@ from excfact import (
     covering_from_json,
     covering_induced_by_coloring,
     covering_to_json,
-    delete_edge_instances,
     encode_graph6,
     find_k_edge_coloring,
     format_edge_list,
-    induced_multigraph,
     parse_edge_list,
     parse_graph6,
     underlying_simple,
@@ -166,33 +165,12 @@ def test_covering_equality_is_multiset():
     assert hash(Covering((a, b))) == hash(Covering((b, a)))
 
 
-def test_induced_multigraph_counts_memberships():
-    g = SimpleGraph(2, frozenset({(0, 1)}))
-    m = Matching(frozenset({(0, 1)}))
-    h = induced_multigraph(g, Covering((m, m)))
-    assert h.multiplicity((0, 1)) == 2
-    assert h.edge_count == 2
-
-
-def test_induced_multigraph_of_partition_is_the_graph():
-    g = cycle(4)
-    classes = [Matching(frozenset({(0, 1), (2, 3)})), Matching(frozenset({(1, 2), (0, 3)}))]
-    h = induced_multigraph(g, Covering(tuple(classes)))
-    assert h == Multigraph.from_simple(g)
-
-
-def test_induced_multigraph_rejects_non_edges():
-    g = SimpleGraph(3, frozenset({(0, 1)}))
-    with pytest.raises(CoveringError):
-        induced_multigraph(g, Covering((Matching(frozenset({(1, 2)})),)))
-
-
 def test_induced_multigraph_size_is_sum_of_matching_sizes(petersen_graph):
     from excfact import excessive_lm_index
 
     witness = excessive_lm_index(petersen_graph, 4, 5).witness
-    h = induced_multigraph(petersen_graph, witness)
-    assert h.edge_count == witness.total_size()
+    h = _multigraph_of(petersen_graph, witness)
+    assert h.edge_count == sum(len(m) for m in witness)
     assert 4 * 4 <= h.edge_count <= 4 * 5
 
 
@@ -201,18 +179,23 @@ def test_induced_covering_identities_random(g):
     mats = all_matchings(g, 1, 3, cap=100_000)
     sample = mats[::3][:4]
     covering = Covering(tuple(sample))
-    h = induced_multigraph(g, covering)
-    assert h.edge_count == covering.total_size()
-    assert underlying_simple(h) == SimpleGraph(g.vertex_count, covering.edge_support())
-    covers = covering.edge_support() == g.edges
-    assert (underlying_simple(h) == g) == covers
+    h = _multigraph_of(g, covering)
+    support = frozenset(e for m in covering for e in m.edges)
+    assert h.edge_count == sum(len(m) for m in covering)
+    assert underlying_simple(h) == SimpleGraph(g.vertex_count, support)
+    assert (underlying_simple(h) == g) == (support == g.edges)
+
+
+def _multigraph_of(g: SimpleGraph, covering: Covering) -> Multigraph:
+    """The multigraph whose multiplicities count the matchings using each edge."""
+    return Multigraph(g.vertex_count, Counter(e for m in covering for e in m.edges))
 
 
 def test_covering_induced_by_coloring_identity():
     g = cycle(4)
     h = Multigraph.from_simple(g)
     colouring = find_k_edge_coloring(h, 2)
-    covering = covering_induced_by_coloring(g, h, colouring)
+    covering = covering_induced_by_coloring(g, colouring)
     assert len(covering) == 2
     assert {frozenset(m.edges) for m in covering} == {frozenset(c) for c in colouring.classes}
 
@@ -221,7 +204,7 @@ def test_covering_induced_by_coloring_doubled_edge():
     g = SimpleGraph(2, frozenset({(0, 1)}))
     h = Multigraph(2, {(0, 1): 2})
     colouring = find_k_edge_coloring(h, 2)
-    covering = covering_induced_by_coloring(g, h, colouring)
+    covering = covering_induced_by_coloring(g, colouring)
     e = Matching(frozenset({(0, 1)}))
     assert covering == Covering((e, e))
 
@@ -232,32 +215,13 @@ def test_covering_induced_by_coloring_rejects_mismatch():
     h = Multigraph.from_simple(other)
     colouring = find_k_edge_coloring(h, 1)
     with pytest.raises(StructuralError):
-        covering_induced_by_coloring(g, h, colouring)
+        covering_induced_by_coloring(g, colouring)
 
 
 def test_underlying_simple():
     h = Multigraph(3, {(0, 1): 3, (1, 2): 1})
     assert underlying_simple(h) == SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
     assert underlying_simple(Multigraph.from_simple(cycle(5))) == cycle(5)
-
-
-def test_delete_edge_instances_identity_and_order():
-    h = Multigraph(3, {(0, 1): 2, (1, 2): 1})
-    assert delete_edge_instances(h, 0) == h
-    reduced = delete_edge_instances(h, 1)
-    assert reduced.multiplicity((0, 1)) == 1
-    assert underlying_simple(reduced) == underlying_simple(h)
-    with pytest.raises(PreconditionError):
-        delete_edge_instances(h, 2)
-
-
-def test_delete_edge_instances_balanced_surplus():
-    # 9 = 3 * (2 + 1) instances over a triangle; removing 3 leaves 3 * 2
-    h = Multigraph(3, {(0, 1): 3, (0, 2): 3, (1, 2): 3})
-    reduced = delete_edge_instances(h, 3)
-    assert reduced.edge_count == 6
-    assert underlying_simple(reduced) == underlying_simple(h)
-    assert all(reduced.multiplicity(e) == 2 for e in reduced.support())
 
 
 def test_covering_json_round_trip(petersen_graph):

@@ -13,12 +13,11 @@ from excfact import (
     PreconditionError,
     SimpleGraph,
     extend_to_lm_matching,
-    extends_to_lm_matching,
     is_lm_coverable,
-    max_matching_with_forced,
     maximum_matching,
 )
 from excfact.families import cycle, empty, path, star
+from excfact.matching import _forced_value
 from excfact.oracle import (
     all_matchings,
     enumerate_labeled_graphs,
@@ -65,44 +64,42 @@ def test_maximum_matching_is_deterministic(petersen_graph):
 
 
 def test_forced_empty_reduces_to_maximum(petersen_graph):
-    assert max_matching_with_forced(petersen_graph, Matching(frozenset())) == 5
+    assert _forced_value(petersen_graph, frozenset()) == 5
 
 
 def test_forced_star_edge():
-    assert max_matching_with_forced(star(3), Matching(frozenset({(0, 1)}))) == 1
+    assert _forced_value(star(3), frozenset({(0, 1)})) == 1
 
 
 def test_every_petersen_edge_extends_to_perfect(petersen_graph):
     perfect = all_matchings(petersen_graph, 5, 5)
     for e in petersen_graph.sorted_edges():
-        assert max_matching_with_forced(petersen_graph, Matching(frozenset({e}))) == 5
+        assert _forced_value(petersen_graph, frozenset({e})) == 5
         assert any(e in pm.edges for pm in perfect)
 
 
 def test_forced_requires_subgraph():
     with pytest.raises(PreconditionError):
-        max_matching_with_forced(cycle(4), Matching(frozenset({(0, 2)})))
+        extend_to_lm_matching(cycle(4), Matching(frozenset({(0, 2)})), 1, 2)
 
 
 @given(simple_graphs(max_vertices=7))
 def test_forced_monotone_under_restriction(g):
     base = maximum_matching(g)
     edges = base.sorted_edges()
-    values = [
-        max_matching_with_forced(g, Matching(frozenset(edges[:i]))) for i in range(len(edges) + 1)
-    ]
+    values = [_forced_value(g, frozenset(edges[:i])) for i in range(len(edges) + 1)]
     assert all(a >= b for a, b in zip(values, values[1:]))  # larger forced set, smaller value
     assert values[0] == len(base)
 
 
 def test_extends_window_and_membership():
-    assert extends_to_lm_matching(cycle(6), Matching(frozenset({(0, 1)})), 3, 3)
-    assert not extends_to_lm_matching(star(3), Matching(frozenset({(0, 1)})), 2, 3)
+    assert extend_to_lm_matching(cycle(6), Matching(frozenset({(0, 1)})), 3, 3) is not None
+    assert extend_to_lm_matching(star(3), Matching(frozenset({(0, 1)})), 2, 3) is None
     big = maximum_matching(cycle(6))
-    assert extends_to_lm_matching(cycle(6), big, 1, 3)
-    assert not extends_to_lm_matching(cycle(6), big, 1, 2)  # already larger than m
+    assert extend_to_lm_matching(cycle(6), big, 1, 3) is not None
+    assert extend_to_lm_matching(cycle(6), big, 1, 2) is None  # already larger than m
     with pytest.raises(ParameterError):
-        extends_to_lm_matching(cycle(6), big, 3, 2)
+        extend_to_lm_matching(cycle(6), big, 3, 2)
 
 
 def test_extends_against_bruteforce_small():
@@ -116,7 +113,7 @@ def test_extends_against_bruteforce_small():
                     expected = any(
                         n.edges <= other.edges and l <= len(other) <= m for other in mats
                     )
-                    assert extends_to_lm_matching(g, n, l, m) == expected
+                    assert (extend_to_lm_matching(g, n, l, m) is not None) == expected
 
 
 def test_extend_witness_contains_and_sizes():
@@ -152,8 +149,8 @@ def test_coverability_antitone(g):
 def test_coverability_is_the_per_edge_forced_matching_test(g):
     nu = len(maximum_matching(g))
     for l in range(1, nu + 2):
-        expected = all(max_matching_with_forced(g, Matching(frozenset({e}))) >= l for e in g.edges)
-        assert is_lm_coverable(g, l) == expected
+        covered = {e for matching in all_matchings(g, l, nu) for e in matching.edges}
+        assert is_lm_coverable(g, l) == (covered == g.edges)
 
 
 def test_coverability_below_the_matching_number_needs_no_per_edge_search():
