@@ -72,7 +72,7 @@ def compatibility_function(g: SimpleGraph, m: int) -> int:
         raise ParameterError("m must be at least 1")
     if not g.edges:
         raise ParameterError("graph has no edges")
-    for l in range(m, 0, -1):
+    for l in range(min(m, len(maximum_matching(g))), 0, -1):  # no l > nu is coverable
         if is_lm_compatible(g, l, m):
             return l
     raise InvariantError("unreachable: [1,m]-compatibility always holds")

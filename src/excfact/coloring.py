@@ -18,7 +18,7 @@ from typing import Callable
 
 from .budget import check_budget
 from .errors import InvariantError, ParameterError, PreconditionError
-from .graphs import Edge, Multigraph, SimpleGraph, underlying_simple
+from .graphs import Covering, Edge, Multigraph, SimpleGraph, covering_induced_by_coloring, underlying_simple
 from .matching import maximum_matching
 
 
@@ -57,7 +57,7 @@ def coloring_to_json(c: EdgeColoring) -> dict:
 
 
 def _color_in_order(
-    edges: list[Edge], vertex_count: int, k: int, admits: Callable[[set[Edge]], bool] | None = None
+    edges: list[Edge], vertex_count: int, k: int, admits: Callable[[int], bool] | None = None
 ) -> tuple[frozenset[Edge], ...] | None:
     """The k colour classes of the first proper colouring found, or None.
 
@@ -65,15 +65,15 @@ def _color_in_order(
     backtracking over an explicit index (no recursion, so the depth is not
     bounded by the interpreter stack).  Colours are introduced in increasing
     order, and equal consecutive edges (parallel instances) receive
-    increasing colours.  ``admits``, if given, sees a class right after an
-    edge joins it and may reject that colour.  The budget is checked once
-    per search node entered.
+    increasing colours.  Classes are bitmasks over indices into ``edges``;
+    ``admits``, if given, sees a class with the current edge joined and may
+    reject that colour.  The budget is checked once per search node entered.
     """
     n = len(edges)
     masks = [0] * vertex_count
     assign = [0] * n  # colour of edges[i], or the last colour tried; 0 = none yet
     top = [0] * (n + 1)  # top[i]: highest colour among edges[:i]
-    classes: list[set[Edge]] = [set() for _ in range(k)]
+    classes = [0] * k  # classes[c - 1]: bitmask of the indices of the edges coloured c
     i = 0
     check_budget()
     while i < n:
@@ -84,7 +84,7 @@ def _color_in_order(
             bit = 1 << c
             masks[u] ^= bit
             masks[v] ^= bit
-            classes[c - 1].remove(e)
+            classes[c - 1] ^= 1 << i
             first = c + 1
         else:
             first = assign[i - 1] + 1 if i and edges[i - 1] == e else 1
@@ -94,11 +94,10 @@ def _color_in_order(
             bit = 1 << c
             if taken & bit:
                 continue
-            cls = classes[c - 1]
-            cls.add(e)
-            if admits is not None and not admits(cls):
-                cls.remove(e)
+            joined = classes[c - 1] | 1 << i
+            if admits is not None and not admits(joined):
                 continue
+            classes[c - 1] = joined
             masks[u] |= bit
             masks[v] |= bit
             assign[i] = c
@@ -111,7 +110,10 @@ def _color_in_order(
             if i == 0:
                 return None
             i -= 1
-    return tuple(frozenset(cls) for cls in classes)
+    found: list[set[Edge]] = [set() for _ in range(k)]
+    for e, c in zip(edges, assign):
+        found[c - 1].add(e)
+    return tuple(frozenset(cls) for cls in found)
 
 
 def find_k_edge_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
@@ -123,12 +125,8 @@ def find_k_edge_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
     edge may open colour ``c + 1`` only once colours ``1..c`` are in use),
     and parallel instances receive increasing colours.
     """
-    if k < 0:
-        return None
     instances = h.instances()
-    if not instances:
-        return EdgeColoring(h, tuple(frozenset() for _ in range(k)))
-    if k == 0 or h.max_degree() > k:
+    if k < 0 or h.max_degree() > k:
         return None
     # every class is a matching of the underlying simple graph, so k of them
     # hold at most k * nu instances; this settles dense infeasible cases fast
@@ -142,15 +140,11 @@ def find_k_edge_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
 def chromatic_index(g: SimpleGraph) -> int:
     """Exact chromatic index of a simple graph (0 for edgeless graphs).
 
-    Only the maximum degree and one more colour ever need testing, so a
-    failed search at max_degree settles the answer.
+    Only the maximum degree and one more colour ever need testing, so the
+    memoised colouring at the maximum degree settles the answer.
     """
-    if not g.edges:
-        return 0
     d = g.max_degree()
-    if find_k_edge_coloring(Multigraph.from_simple(g), d) is not None:
-        return d
-    return d + 1
+    return d if _equalized_coloring(g, d) is not None else d + 1
 
 
 def _surplus_path(a_edges: set[Edge], b_edges: set[Edge]) -> tuple[set[Edge], set[Edge]] | None:
@@ -230,6 +224,20 @@ def equalized_k_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
     return None if found is None else equalize(found)
 
 
+@lru_cache(maxsize=None)
+def _equalized_coloring(g: SimpleGraph, k: int) -> tuple[EdgeColoring, Covering] | None:
+    """The equalized k-edge-colouring of ``g`` and the covering its classes
+    induce, or None when ``g`` has no k-colouring: the one place a simple
+    graph is coloured.  The chromatic index is read from it at the maximum
+    degree, and more colours always suffice (Vizing), so at any ``k >= chi'``
+    it holds a colouring or raises.
+    """
+    colouring = equalized_k_coloring(Multigraph.from_simple(g), k)
+    if colouring is None and k > g.max_degree():
+        raise InvariantError(f"no colouring with {k} colours")
+    return None if colouring is None else (colouring, covering_induced_by_coloring(g, colouring))
+
+
 def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:
     """Edge colouring with the fewest colours subject to class sizes <= m.
 
@@ -243,7 +251,7 @@ def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:
     if not g.edges:
         raise ParameterError("graph has no edges")
     k = max(chromatic_index(g), ceil(g.edge_count / m))
-    colouring = equalized_k_coloring(Multigraph.from_simple(g), k)
-    if colouring is None or max(colouring.class_sizes()) > m:
+    colouring, _ = _equalized_coloring(g, k)  # k >= chi', so it exists
+    if max(colouring.class_sizes()) > m:
         raise InvariantError(f"no {k}-colouring with classes of size at most {m}")
     return colouring

@@ -13,16 +13,17 @@ verified before it is returned.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import ceil
 
 from .coloring import (
     EdgeColoring,
     _color_in_order,
+    _equalized_coloring,
     chromatic_index,
     equalize,
-    equalized_k_coloring,
 )
 from .errors import InvariantError, ParameterError
 from .graphs import (
@@ -34,7 +35,7 @@ from .graphs import (
     covering_induced_by_coloring,
     covering_to_json,
 )
-from .matching import extend_to_lm_matching, is_lm_coverable, _forced_value
+from .matching import extend_to_lm_matching, is_lm_coverable
 
 INFINITY = math.inf
 
@@ -94,15 +95,6 @@ def verify_covering(g: SimpleGraph, c: Covering, l: int, m: int) -> bool:
     return not covering_violations(g, c, l, m)
 
 
-@lru_cache(maxsize=None)
-def _equalized_coloring(g: SimpleGraph, k: int) -> tuple[EdgeColoring, Covering]:
-    """The equalized k-edge-colouring of ``g`` and the covering its classes induce."""
-    colouring = equalized_k_coloring(Multigraph.from_simple(g), k)
-    if colouring is None:
-        raise InvariantError(f"no colouring with {k} colours")
-    return colouring, covering_induced_by_coloring(g, colouring)
-
-
 def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     """A covering by ``ceil(|E|/m)`` matchings of size exactly m.
 
@@ -121,23 +113,15 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     k = ceil(edge_total / m)
     t = k * m - edge_total
     psi, _ = _equalized_coloring(g, chi)
-    if t == 0:
-        host = Multigraph.from_simple(g)
-        classes = psi.classes + tuple(frozenset() for _ in range(k - chi))
-    else:
-        if k <= chi:
-            raise InvariantError("padding is only ever needed when a fresh colour exists")
-        donor = sorted(psi.classes[0])
-        if not len(donor) >= m > t:
-            raise InvariantError("the first class cannot donate the padding edges")
-        duplicated = donor[:t]
-        counts = {e: 1 for e in g.edges}
-        for e in duplicated:
-            counts[e] = 2
-        host = Multigraph(g.vertex_count, counts)
-        classes = psi.classes + (frozenset(duplicated),) + tuple(
-            frozenset() for _ in range(k - chi - 1)
-        )
+    if t and k <= chi:
+        raise InvariantError("padding is only ever needed when a fresh colour exists")
+    donor = sorted(psi.classes[0])
+    if not len(donor) >= m > t:
+        raise InvariantError("the first class cannot donate the padding edges")
+    duplicated = donor[:t]
+    host = Multigraph(g.vertex_count, Counter(g.edges) + Counter(duplicated))
+    padding = (frozenset(duplicated),) if t else ()
+    classes = psi.classes + padding + tuple(frozenset() for _ in range(k - chi - len(padding)))
     balanced = equalize(EdgeColoring(host, classes))
     if any(size != m for size in balanced.class_sizes()):
         raise InvariantError("padded colouring did not equalize to size m")
@@ -151,20 +135,22 @@ def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
     ``|E|`` colours always suffice for a coverable graph (single edges
     extend), so the increasing search terminates.
     """
-    forced_value = lru_cache(maxsize=None)(partial(_forced_value, g))  # revisited classes, this search only
     edges = g.sorted_edges()
+
+    @lru_cache(maxsize=None)  # revisited classes, by edge-index bitmask, this search only
+    def extends(cls: int) -> bool:
+        members = frozenset(e for j, e in enumerate(edges) if cls >> j & 1)
+        return extend_to_lm_matching(g, Matching(members), m, m) is not None
+
     start = max(chromatic_index(g), ceil(g.edge_count / m))
     for k in range(start, g.edge_count + 1):
         classes = _color_in_order(
-            edges, g.vertex_count, k, lambda cls: len(cls) <= m and forced_value(frozenset(cls)) >= m
+            edges, g.vertex_count, k, lambda cls: cls.bit_count() <= m and extends(cls)
         )
         if classes is not None:
-            extended = []
-            for cls in classes:
-                matching = extend_to_lm_matching(g, Matching(cls), m, m)
-                if matching is None:
-                    raise InvariantError("an admitted class does not extend to an [m]-matching")
-                extended.append(matching)
+            extended = [extend_to_lm_matching(g, Matching(cls), m, m) for cls in classes]
+            if None in extended:
+                raise InvariantError("an admitted class does not extend to an [m]-matching")
             return k, Covering(tuple(extended))
     raise InvariantError("no covering found for a coverable graph")
 

@@ -196,6 +196,8 @@ class Covering:
 # ---------------------------------------------------------------------------
 # text formats
 
+_MAX_VERTICES = 258047  # the most vertices encode_graph6 writes; edge lists are capped there too
+
 
 def parse_edge_list(text: str) -> SimpleGraph:
     """Parse the ``u v`` per-line edge format.
@@ -238,6 +240,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
     n = header if header is not None else max_seen + 1
     if max_seen >= n:
         raise FormatError(f"edge endpoint {max_seen} exceeds declared vertex count {n}")
+    if n > _MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the supported maximum {_MAX_VERTICES}")
     return SimpleGraph(n, frozenset(pairs))
 
 
@@ -257,7 +261,7 @@ _G6_HEADER = ">>graph6<<"
 def _g6_encode_count(n: int) -> str:
     if n <= 62:
         return chr(63 + n)
-    if n <= 258047:
+    if n <= _MAX_VERTICES:
         return chr(126) + "".join(chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0))
     raise FormatError(f"vertex count {n} too large for this graph6 encoder")
 

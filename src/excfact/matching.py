@@ -115,12 +115,6 @@ def _matching_avoiding(g: SimpleGraph, banned: frozenset[int]) -> list[Edge]:
     return _max_matching_pairs(g.vertex_count, adj)
 
 
-def _forced_value(g: SimpleGraph, forced_edges: frozenset[Edge]) -> int:
-    """Largest size of a matching of ``g`` that contains ``forced_edges``."""
-    banned = frozenset(v for e in forced_edges for v in e)
-    return len(forced_edges) + len(_matching_avoiding(g, banned))
-
-
 def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matching | None:
     """A concrete matching of size ``max(l, |n|)`` containing ``n``, or None.
 
@@ -143,7 +137,7 @@ def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matchi
 
 @lru_cache(maxsize=None)
 def _min_edge_extension(g: SimpleGraph) -> int:
-    return min(_forced_value(g, frozenset({e})) for e in g.sorted_edges())
+    return min(1 + len(_matching_avoiding(g, frozenset(e))) for e in g.sorted_edges())
 
 
 def is_lm_coverable(g: SimpleGraph, l: int) -> bool:

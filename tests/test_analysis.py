@@ -64,6 +64,14 @@ def test_compatibility_function_errors():
         compatibility_function(cycle(4), 0)
 
 
+def test_compatibility_function_scans_no_l_above_the_matching_number(monkeypatch, petersen_graph):
+    tried = []
+    real = analysis.is_lm_compatible
+    monkeypatch.setattr(analysis, "is_lm_compatible", lambda g, l, m: tried.append(l) or real(g, l, m))
+    assert compatibility_function(petersen_graph, 50) == 4
+    assert tried == [5, 4]  # nu = 5: no [l,50]-covering exists for l > 5
+
+
 def test_compatibility_function_raises_invariant_error_when_l_one_fails(monkeypatch):
     monkeypatch.setattr(analysis, "is_lm_compatible", lambda *args: False)
     with pytest.raises(InvariantError):

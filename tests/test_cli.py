@@ -140,6 +140,15 @@ def test_render_accepts_index_output(capsys, petersen_file, tmp_path):
     assert all("label=" in line for line in out.splitlines() if " -- " in line)
 
 
+def test_index_rejects_a_huge_vertex_count(capsys, tmp_path):
+    target = tmp_path / "huge.el"
+    target.write_text("n 30000000\n0 1\n")
+    code, out, err = _run(capsys, ["index", "--graph", str(target), "--l", "1", "--m", "1"])
+    assert code == 1
+    assert out == ""
+    assert "vertex count 30000000" in err
+
+
 def test_render_rejects_invalid_witness(capsys, tmp_path):
     graph = tmp_path / "c4.el"
     graph.write_text(format_edge_list(cycle(4)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from math import ceil
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from excfact import (
     parse_graph6,
     verify_covering,
 )
+from excfact import coloring as coloring_module
 from excfact import excessive as excessive_module
 from excfact.coloring import coloring_to_json
 from excfact.excessive import (
@@ -332,6 +334,50 @@ def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
                 assert covering_to_json(result.witness) == covering_to_json(expected), (g, l, m)
                 above_chi_seen.add(ceil(g.edge_count / m) > chromatic_index(g))
     assert above_chi_seen == {False, True}  # both k = chi' and k > chi' occur
+
+
+def test_cold_pass_colours_each_graph_once_per_colour_count(monkeypatch):
+    """The chromatic index and every colouring witness read one (graph, k)
+    memo, so a cold pass searches each (graph, k) at most once."""
+    for f in excfact_memos():
+        f.cache_clear()
+    searched = Counter()
+    real = coloring_module.find_k_edge_coloring
+
+    def counted(h, k):
+        searched[h, k] += 1
+        return real(h, k)
+
+    monkeypatch.setattr(coloring_module, "find_k_edge_coloring", counted)
+    rng = random.Random(11)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(4, 7))
+        for l in range(1, 6):
+            for m in range(l, 6):
+                excessive_lm_index(g, l, m)
+                exc_algorithm(g, l, m)
+    assert searched and max(searched.values()) == 1
+
+
+def test_missing_colouring_raises_invariant_error(monkeypatch):
+    """Every reader of the (graph, k) colouring memo at k >= chi' gets a
+    colouring or an InvariantError, never a None to unpack."""
+    memos = excfact_memos()
+    for f in memos:
+        f.cache_clear()
+    monkeypatch.setattr(coloring_module, "equalized_k_coloring", lambda h, k: None)
+    try:  # chi'(C4) now reads 3, and no 3-colouring is found either
+        for route in (
+            lambda: excessive_lm_index(cycle(4), 1, 2),
+            lambda: exc_algorithm(cycle(4), 1, 4),
+            lambda: excessive_m_index(cycle(4), 1),
+            lambda: optimal_m_bounded_coloring(cycle(4), 2),
+        ):
+            with pytest.raises(InvariantError):
+                route()
+    finally:
+        for f in memos:
+            f.cache_clear()
 
 
 def test_unverified_witness_raises_invariant_error(monkeypatch):

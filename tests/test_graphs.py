@@ -84,6 +84,16 @@ def test_parse_edge_list_rejects(text):
         parse_edge_list(text)
 
 
+def test_parse_edge_list_caps_the_vertex_count():
+    # the largest count encode_graph6 writes; a header or an endpoint beyond it
+    # is refused before any per-vertex structure is built
+    assert parse_edge_list("n 258047\n0 1").vertex_count == 258047
+    assert parse_edge_list("0 258046").vertex_count == 258047
+    for text in ("0 100000000", "0 258047", "n 30000000\n0 1", "n 258048"):
+        with pytest.raises(FormatError):
+            parse_edge_list(text)
+
+
 def test_edge_list_round_trip():
     g = petersen()
     assert parse_edge_list(format_edge_list(g)) == g

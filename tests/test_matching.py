@@ -17,7 +17,6 @@ from excfact import (
     maximum_matching,
 )
 from excfact.families import cycle, empty, path, star
-from excfact.matching import _forced_value
 from excfact.oracle import (
     all_matchings,
     enumerate_labeled_graphs,
@@ -63,19 +62,25 @@ def test_maximum_matching_is_deterministic(petersen_graph):
     assert maximum_matching(petersen_graph) == maximum_matching(petersen_graph)
 
 
+def _largest_extension(g: SimpleGraph, n: Matching) -> int:
+    """Largest size of a matching of ``g`` that contains ``n``."""
+    sizes = range(len(n), g.edge_count + 1)
+    return max(s for s in sizes if extend_to_lm_matching(g, n, s, s) is not None)
+
+
 def test_forced_empty_reduces_to_maximum(petersen_graph):
-    assert _forced_value(petersen_graph, frozenset()) == 5
+    assert _largest_extension(petersen_graph, Matching(frozenset())) == 5
 
 
 def test_forced_star_edge():
-    assert _forced_value(star(3), frozenset({(0, 1)})) == 1
+    assert _largest_extension(star(3), Matching(frozenset({(0, 1)}))) == 1
 
 
 def test_every_petersen_edge_extends_to_perfect(petersen_graph):
     perfect = all_matchings(petersen_graph, 5, 5)
     for e in petersen_graph.sorted_edges():
-        assert _forced_value(petersen_graph, frozenset({e})) == 5
-        assert any(e in pm.edges for pm in perfect)
+        extended = extend_to_lm_matching(petersen_graph, Matching(frozenset({e})), 5, 5)
+        assert extended in perfect and e in extended.edges
 
 
 def test_forced_requires_subgraph():
@@ -87,7 +92,7 @@ def test_forced_requires_subgraph():
 def test_forced_monotone_under_restriction(g):
     base = maximum_matching(g)
     edges = base.sorted_edges()
-    values = [_forced_value(g, frozenset(edges[:i])) for i in range(len(edges) + 1)]
+    values = [_largest_extension(g, Matching(frozenset(edges[:i]))) for i in range(len(edges) + 1)]
     assert all(a >= b for a, b in zip(values, values[1:]))  # larger forced set, smaller value
     assert values[0] == len(base)
 
