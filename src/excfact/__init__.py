@@ -18,7 +18,6 @@ from .coloring import (
     EdgeColoring,
     chromatic_index,
     equalize,
-    equalized_k_coloring,
     find_k_edge_coloring,
     optimal_m_bounded_coloring,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "covering_to_json",
     "encode_graph6",
     "equalize",
-    "equalized_k_coloring",
     "exc_algorithm",
     "excessive_lm_index",
     "excessive_m_index",

@@ -9,13 +9,12 @@ report builders tabulate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import ceil
 
 from .coloring import chromatic_index
 from .errors import InvariantError, ParameterError
-from .excessive import excessive_lm_index, excessive_m_index
+from .excessive import _json_value, excessive_lm_index, excessive_m_index
 from .graphs import SimpleGraph
 from .matching import maximum_matching
 
@@ -39,8 +38,6 @@ class CoherenceReport:
 
 def is_lm_compatible(g: SimpleGraph, l: int, m: int) -> bool:
     """Whether the [l,m]-index equals max(chi', ceil(|E|/m)); never true when infinite."""
-    if l < 1 or l > m:
-        raise ParameterError(f"invalid size window [{l}, {m}]")
     result = excessive_lm_index(g, l, m)
     if not result.finite:
         return False
@@ -52,15 +49,10 @@ def compatibility_index(g: SimpleGraph) -> int:
 
     Single-size compatibility holds on an initial interval 1..com, so a scan
     up to the maximum matching size (beyond which indices are infinite)
-    finds it.  Edgeless graphs get the conventional value 0.
+    finds it; edgeless graphs (nu = 0) get 0.
     """
-    if not g.edges:
-        return 0
-    best = 0
-    for m in range(1, len(maximum_matching(g)) + 1):
-        if is_lm_compatible(g, m, m):
-            best = m
-    return best
+    nu = len(maximum_matching(g))
+    return max((m for m in range(1, nu + 1) if is_lm_compatible(g, m, m)), default=0)
 
 
 def compatibility_function(g: SimpleGraph, m: int) -> int:
@@ -94,19 +86,14 @@ def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
     strictly between l and m, and the index at size ceil(|E|/chi') exceeds
     chi') and checks that it agrees with the definition-level comparison.
     """
-    if l < 1 or l > m:
-        raise ParameterError(f"invalid size window [{l}, {m}]")
     lhs = excessive_lm_index(g, l, m).value
     rhs = min(excessive_m_index(g, i).value for i in range(l, m + 1))
     coherent = lhs == rhs
-    if g.edges:
-        chi = chromatic_index(g)
-        edge_total = g.edge_count
-        if l * chi < edge_total < m * chi:
-            k = ceil(edge_total / chi)
-            characterization = excessive_m_index(g, k).value > chi
-        else:
-            characterization = False
+    chi = chromatic_index(g)
+    edge_total = g.edge_count
+    if l * chi < edge_total < m * chi:
+        k = ceil(edge_total / chi)
+        characterization = excessive_m_index(g, k).value > chi
     else:
         characterization = False
     if coherent == characterization:
@@ -114,10 +101,6 @@ def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
     return CoherenceReport(
         l=l, m=m, coherent=coherent, lhs=lhs, rhs=rhs, characterization_holds=characterization
     )
-
-
-def _json_value(v: int | float) -> int | str:
-    return "infinity" if math.isinf(v) else int(v)
 
 
 def compatibility_report_to_json(report: CompatibilityReport) -> dict:

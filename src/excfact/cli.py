@@ -24,10 +24,9 @@ from .analysis import (
     compatibility_report_to_json,
 )
 from .budget import time_budget
-from .errors import BudgetExceededError, FormatError, ParameterError, PreconditionError
-from .excessive import exc_algorithm, excessive_lm_index, index_result_to_json
+from .errors import BudgetExceededError, EnumerationCapError, FormatError, ParameterError, PreconditionError
+from .excessive import covering_violations, exc_algorithm, excessive_lm_index, index_result_to_json
 from .graphs import Covering, SimpleGraph, covering_from_json, parse_edge_list, parse_graph6
-from .excessive import covering_violations
 from .oracle import SweepConfig, min_cover_bruteforce, small_graph_sweep
 
 FORMAT_VERSION = 1
@@ -38,22 +37,16 @@ _PALETTE = [
 ]
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+def _read_text(path_text: str) -> str:
+    try:
+        return Path(path_text).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path_text}: {exc}") from exc
 
 
 def _load_graph(path_text: str) -> SimpleGraph:
-    path = Path(path_text)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    if path.suffix == ".g6":
-        return parse_graph6(text)
-    return parse_edge_list(text)
+    parse = parse_graph6 if Path(path_text).suffix == ".g6" else parse_edge_list
+    return parse(_read_text(path_text))
 
 
 def _parse_m(token: str, l: int, edge_count: int) -> int:
@@ -133,8 +126,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_render(args) -> int:
     g = _load_graph(args.graph)
     try:
-        obj = json.loads(Path(args.witness).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = json.loads(_read_text(args.witness))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"cannot read witness JSON: {exc}") from exc
     if isinstance(obj, dict) and "witness" in obj:
         obj = obj["witness"]
@@ -169,7 +162,7 @@ def _render_dot(g: SimpleGraph, covering: Covering) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="excfact", description=__doc__)
+    parser = argparse.ArgumentParser(prog="excfact", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     index = sub.add_parser("index", help="compute an excessive [l,m]-index")
@@ -209,11 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (FormatError, ParameterError, PreconditionError) as exc:
+    except (EnumerationCapError, FormatError, ParameterError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

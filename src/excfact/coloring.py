@@ -219,11 +219,6 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
     return result
 
 
-def equalized_k_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
-    found = find_k_edge_coloring(h, k)
-    return None if found is None else equalize(found)
-
-
 @lru_cache(maxsize=None)
 def _equalized_coloring(g: SimpleGraph, k: int) -> tuple[EdgeColoring, Covering] | None:
     """The equalized k-edge-colouring of ``g`` and the covering its classes
@@ -232,10 +227,13 @@ def _equalized_coloring(g: SimpleGraph, k: int) -> tuple[EdgeColoring, Covering]
     degree, and more colours always suffice (Vizing), so at any ``k >= chi'``
     it holds a colouring or raises.
     """
-    colouring = equalized_k_coloring(Multigraph.from_simple(g), k)
-    if colouring is None and k > g.max_degree():
-        raise InvariantError(f"no colouring with {k} colours")
-    return None if colouring is None else (colouring, covering_induced_by_coloring(g, colouring))
+    found = find_k_edge_coloring(Multigraph.from_simple(g), k)
+    if found is None:
+        if k > g.max_degree():
+            raise InvariantError(f"no colouring with {k} colours")
+        return None
+    colouring = equalize(found)
+    return colouring, covering_induced_by_coloring(g, colouring)
 
 
 def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:

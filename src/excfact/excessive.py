@@ -142,8 +142,8 @@ def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
         members = frozenset(e for j, e in enumerate(edges) if cls >> j & 1)
         return extend_to_lm_matching(g, Matching(members), m, m) is not None
 
-    start = max(chromatic_index(g), ceil(g.edge_count / m))
-    for k in range(start, g.edge_count + 1):
+    # SEARCH runs only when |E| < m * chi', so ceil(|E|/m) <= chi' adds no bound
+    for k in range(chromatic_index(g), g.edge_count + 1):
         classes = _color_in_order(
             edges, g.vertex_count, k, lambda cls: cls.bit_count() <= m and extends(cls)
         )
@@ -178,13 +178,11 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
     """Excessive [l,m]-index via the closed form on the ratio |E|/chi'.
 
     The ratio is compared with l and m by cross-multiplication, never in
-    floating point.  At the boundary ratios two branches overlap; both are
-    evaluated and must agree.
+    floating point.  At the ratio l the chromatic-index branch overlaps the
+    [l]-index; both are evaluated and must agree.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
-    if not g.edges:
-        return IndexResult(0, Covering(()), RULE_FORMULA_CEIL)
     if not is_lm_coverable(g, l):
         return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
     edge_total = g.edge_count
@@ -194,8 +192,6 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
         value = ceil(edge_total / m)
         if base.value != value:
             raise InvariantError("[m]-index disagrees with ceil(|E|/m)")
-        if edge_total == m * chi and value != chi:  # overlap with the chromatic-index branch
-            raise InvariantError("ceiling branch disagrees with the chromatic-index branch")
         result = IndexResult(value, base.witness, RULE_FORMULA_CEIL)
     elif l * chi <= edge_total:
         _, witness = _equalized_coloring(g, chi)
@@ -256,15 +252,17 @@ def index_result_to_json(
 ) -> dict:
     """JSON form: value / rule / witness / self-checks."""
     if result.finite:
-        lower = max(chromatic_index(g), ceil(g.edge_count / m)) if g.edges else 0
+        lower = max(chromatic_index(g), ceil(g.edge_count / m))
         checks = {
             "lower_bound": result.value >= lower,
             "verified": verify_covering(g, result.witness, l, m),
         }
-        value: int | str = int(result.value)
         witness = covering_to_json(result.witness) if include_witness else None
     else:
         checks = {"lower_bound": True, "verified": True}
-        value = "infinity"
         witness = None
-    return {"value": value, "rule": result.rule, "witness": witness, "checks": checks}
+    return {"value": _json_value(result.value), "rule": result.rule, "witness": witness, "checks": checks}
+
+
+def _json_value(v: int | float) -> int | str:  # JSON has no infinity
+    return "infinity" if math.isinf(v) else int(v)

@@ -95,7 +95,7 @@ def _max_matching_pairs(n: int, adj: list[list[int]]) -> list[Edge]:
                     match[u] = v
                     break
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and adj[v]:  # an isolated vertex roots no augmenting path
             _try_augment(v, adj, match)
     return [(v, match[v]) for v in range(n) if match[v] > v]
 

@@ -17,7 +17,6 @@ vertex), so its witness does not depend on how much it prunes; see
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,7 @@ from . import excessive as _excessive
 from .budget import check_budget
 from .coloring import chromatic_index
 from .errors import EnumerationCapError, InvariantError
-from .excessive import INFINITY, IndexResult, RULE_NOT_COVERABLE, RULE_SEARCH, verify_covering
+from .excessive import INFINITY, IndexResult, RULE_NOT_COVERABLE, RULE_SEARCH, _json_value, verify_covering
 from .graphs import Covering, Edge, Matching, SimpleGraph, encode_graph6
 
 
@@ -37,27 +36,34 @@ def _matching_masks(edges: list[Edge], l: int, m: int, cap: int) -> list[int]:
     Depth-first search over increasing edge indices, with the used vertices
     kept as a bitmask.  A matching is emitted before its extensions and
     siblings follow in index order, so the output is already sorted the way
-    ``sorted`` would sort the tuples of (sorted) edges.
+    ``sorted`` would sort the tuples of (sorted) edges.  A loop over the
+    matchings on the current branch replaces recursion; each node checks the budget.
     """
     # a matching with l edges needs 2l distinct endpoints
     if m < max(l, 0) or 2 * l > len({v for e in edges for v in e}):
         return []
     ends = [(1 << u) | (1 << v) for u, v in edges]
     count = len(ends)
-    found: list[int] = []
-
-    def extend(start: int, mask: int, used: int, size: int) -> None:
-        if size >= l:
+    found: list[int] = [0] if l <= 0 else []
+    stack = [[0, 0, 0]]  # per matching on the branch: next edge index to try, mask, used vertices
+    while stack:
+        check_budget()
+        frame = stack[-1]
+        idx, mask, used = frame
+        if len(stack) > m:  # the matching has m edges: no extension
+            idx = count
+        while idx < count and ends[idx] & used:
+            idx += 1
+        if idx == count:
+            stack.pop()
+            continue
+        frame[0] = idx + 1
+        mask |= 1 << idx
+        if len(stack) >= l:
             found.append(mask)
             if len(found) > cap:
                 raise EnumerationCapError(f"more than {cap} matchings")
-        if size == m:
-            return
-        for idx in range(start, count):
-            if not ends[idx] & used:
-                extend(idx + 1, mask | 1 << idx, used | ends[idx], size + 1)
-
-    extend(0, 0, 0, 0)
+        stack.append([idx + 1, mask, used | ends[idx]])
     return found
 
 
@@ -160,8 +166,6 @@ def min_cover_bruteforce(g: SimpleGraph, l: int, m: int) -> IndexResult:
     Raises :class:`InvariantError` if the witness fails verification.
     """
     edges = g.sorted_edges()
-    if not edges:
-        return IndexResult(0, Covering(()), RULE_SEARCH)
     masks = _matching_masks(edges, l, m, 1_000_000)
     full = (1 << len(edges)) - 1
     union = 0
@@ -231,8 +235,6 @@ def chromatic_index_bruteforce(g: SimpleGraph) -> int:
     shortcut, keeping this route independent of the main implementation.
     """
     edges = g.sorted_edges()
-    if not edges:
-        return 0
     neighbours: list[list[int]] = [[] for _ in edges]
     for i, j in combinations(range(len(edges)), 2):
         if set(edges[i]) & set(edges[j]):
@@ -299,14 +301,6 @@ def _sweep_graphs(config: SweepConfig):
             yield random_graph(rng, n)
 
 
-def _plain(v):
-    return "infinity" if isinstance(v, float) and math.isinf(v) else v
-
-
-def _record(g6: str, l: int, m: int, main, oracle, check: str) -> dict:
-    return {"graph6": g6, "l": l, "m": m, "main": _plain(main), "oracle": _plain(oracle), "check": check}
-
-
 def small_graph_sweep(config: SweepConfig) -> list[dict]:
     """Compare the closed form, the two-branch algorithm, the pairwise
     reduction, and the brute-force minimum cover on every graph in scope.
@@ -327,20 +321,20 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
                     routes.append(("pairs", _excessive.lm_index_via_pairs(g, l, m)))
                 for check, value in routes:
                     if value != reference:
-                        records.append(_record(g6, l, m, value, reference, check))
+                        records.append({"graph6": g6, "l": l, "m": m, "main": _json_value(value),
+                                        "oracle": _json_value(reference), "check": check})
     return records
 
 
-def find_incoherence_example(
-    max_vertices: int = 8, chi: int = 3, low: int = 2, high: int = 3, target: int = 4
-) -> SimpleGraph | None:
+def find_incoherence_example(max_vertices: int = 8) -> SimpleGraph | None:
     """Search for the smallest graph witnessing strict incoherence.
 
-    Looks for a graph with chromatic index ``chi`` whose [low,high]-index is
-    ``chi`` while both fixed-size indices at ``low`` and ``high`` equal
-    ``target`` > ``chi``.  The edge count is pinned by the requirement
-    low < |E|/chi < high, which keeps the enumeration manageable.
+    Looks for a graph with chromatic index ``chi`` = 3 whose [2,3]-index is
+    ``chi`` while both fixed-size indices at 2 and 3 equal 4 > ``chi``.  The
+    edge count is pinned by the requirement 2 < |E|/chi < 3, which keeps the
+    enumeration manageable.
     """
+    chi, low, high, target = 3, 2, 3, 4
     for n in range(4, max_vertices + 1):
         pairs = list(combinations(range(n), 2))
         for edge_total in range(low * chi + 1, high * chi):

@@ -33,7 +33,6 @@ PUBLIC = [
     "covering_to_json",
     "encode_graph6",
     "equalize",
-    "equalized_k_coloring",
     "exc_algorithm",
     "excessive_lm_index",
     "excessive_m_index",

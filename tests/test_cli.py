@@ -5,13 +5,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excfact import covering_from_json, format_edge_list, verify_covering
 from excfact.cli import main
-from excfact.families import cycle, petersen, star
+from excfact.families import cycle, path, petersen, star
 
 FIXTURE = Path(__file__).parent / "data" / "incoherent_2_3.g6"
 
@@ -167,6 +172,84 @@ def test_input_errors_exit_one(capsys, tmp_path):
     assert code == 1
     code, _, _ = _run(capsys, ["index", "--graph", str(bad)])  # missing flags
     assert code == 1
+
+
+def test_undecodable_and_deeply_nested_files_exit_one(capsys, tmp_path):
+    graph = tmp_path / "k13.el"
+    graph.write_text(format_edge_list(star(3)))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for suffix in (".g6", ".el"):
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        code, _, err = _run(capsys, ["index", "--graph", str(bad), "--l", "1", "--m", "1"])
+        assert code == 1 and err.startswith("error: cannot read")
+        code, _, err = _run(capsys, ["render", "--graph", str(bad), "--witness", str(deep)])
+        assert code == 1 and err.startswith("error: cannot read")
+    for witness in (tmp_path / "bad.el", deep):
+        code, _, err = _run(capsys, ["render", "--graph", str(graph), "--witness", str(witness)])
+        assert code == 1 and err.startswith("error: cannot read")
+
+
+def test_oracle_enumeration_cap_exits_one(capsys, tmp_path):
+    graph = tmp_path / "p40.el"
+    graph.write_text(format_edge_list(path(40)))
+    code, _, err = _run(capsys, ["index", "--graph", str(graph), "--l", "1", "--m", "inf", "--method", "oracle"])
+    assert code == 1 and err == "error: more than 1000000 matchings\n"
+
+
+def test_oracle_deep_enumeration_stops_on_budget(capsys, tmp_path):
+    """A perfect matching of a 2,400-vertex path is 1,200 edges deep."""
+    graph = tmp_path / "p2400.el"
+    graph.write_text(format_edge_list(path(2400)))
+    argv = ["index", "--graph", str(graph), "--l", "1200", "--m", "1200", "--method", "oracle"]
+    code, out, _ = _run(capsys, [*argv, "--budget-ms", "300"])
+    assert code == 3 and json.loads(out)["outcome"] == "budget_exceeded"
+
+
+_GRAPH_TEXT = st.one_of(
+    st.binary(max_size=40),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.just("\n"), max_size=40).map(str.encode),
+    st.text(st.sampled_from("0123456789 n#-\n"), max_size=40).map(str.encode),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["matchings", "witness", "x"]), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+def _quiet_main(argv: list[str]) -> int:
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    content=_GRAPH_TEXT,
+    suffix=st.sampled_from([".g6", ".el"]),
+    method=st.sampled_from(["formula", "exc", "oracle"]),
+    l=st.integers(1, 3),
+    m=st.sampled_from(["1", "2", "3", "inf"]),
+)
+def test_fuzzed_graph_files_exit_with_a_documented_code(content, suffix, method, l, m):
+    with TemporaryDirectory() as tmp:
+        graph = Path(tmp) / f"graph{suffix}"
+        graph.write_bytes(content)
+        argv = ["index", "--graph", str(graph), "--l", str(l), "--m", m, "--method", method]
+        assert _quiet_main([*argv, "--budget-ms", "200"]) in {0, 1, 2, 3}
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness=_JSON)
+def test_fuzzed_witness_json_exits_with_a_documented_code(witness):
+    with TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "k13.el"
+        graph.write_text(format_edge_list(star(3)))
+        target = Path(tmp) / "witness.json"
+        target.write_text(json.dumps(witness))
+        assert _quiet_main(["render", "--graph", str(graph), "--witness", str(target)]) in {0, 1}
 
 
 def _run_subprocess(args):

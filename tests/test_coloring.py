@@ -18,7 +18,6 @@ from excfact import (
     chromatic_index,
     covering_induced_by_coloring,
     equalize,
-    equalized_k_coloring,
     find_k_edge_coloring,
     optimal_m_bounded_coloring,
     verify_covering,
@@ -93,13 +92,13 @@ def test_equalize_balances_a_star_colouring():
 
 
 def test_equalized_k_coloring_sizes():
-    assert sorted(equalized_k_coloring(Multigraph.from_simple(cycle(4)), 2).class_sizes()) == [2, 2]
-    assert sorted(equalized_k_coloring(Multigraph.from_simple(cycle(4)), 3).class_sizes()) == [1, 1, 2]
-    assert equalized_k_coloring(Multigraph.from_simple(cycle(5)), 2) is None
+    assert sorted(equalize(find_k_edge_coloring(Multigraph.from_simple(cycle(4)), 2)).class_sizes()) == [2, 2]
+    assert sorted(equalize(find_k_edge_coloring(Multigraph.from_simple(cycle(4)), 3)).class_sizes()) == [1, 1, 2]
+    assert find_k_edge_coloring(Multigraph.from_simple(cycle(5)), 2) is None
 
 
 def test_equalized_petersen_four_colouring(petersen_graph):
-    colouring = equalized_k_coloring(Multigraph.from_simple(petersen_graph), 4)
+    colouring = equalize(find_k_edge_coloring(Multigraph.from_simple(petersen_graph), 4))
     assert sorted(colouring.class_sizes()) == [3, 4, 4, 4]
 
 
@@ -166,7 +165,7 @@ def test_optimal_m_bounded_basics(petersen_graph):
 def test_coloring_json_is_canonical(petersen_graph):
     from excfact.coloring import coloring_to_json
 
-    colouring = equalized_k_coloring(Multigraph.from_simple(petersen_graph), 4)
+    colouring = equalize(find_k_edge_coloring(Multigraph.from_simple(petersen_graph), 4))
     blob = coloring_to_json(colouring)
     assert blob["k"] == 4 and len(blob["classes"]) == 4
     for cls in blob["classes"]:

@@ -20,6 +20,8 @@ from excfact import (
     ParameterError,
     SimpleGraph,
     chromatic_index,
+    coherence_report,
+    compatibility_index,
     covering_induced_by_coloring,
     covering_to_json,
     exc_algorithm,
@@ -33,6 +35,7 @@ from excfact import (
     verify_covering,
 )
 from excfact import coloring as coloring_module
+from excfact.analysis import coherence_report_to_json
 from excfact import excessive as excessive_module
 from excfact.coloring import coloring_to_json
 from excfact.excessive import (
@@ -48,6 +51,7 @@ from excfact.excessive import (
 from excfact.families import cycle, empty, petersen, star
 from excfact.oracle import (
     SweepConfig,
+    chromatic_index_bruteforce,
     enumerate_labeled_graphs,
     min_cover_bruteforce,
     random_graph,
@@ -102,6 +106,33 @@ def test_m_index_star_not_coverable():
 def test_m_index_edgeless():
     result = excessive_m_index(empty(3), 2)
     assert result.value == 0 and len(result.witness) == 0
+
+
+def test_edgeless_outputs_come_from_the_general_path():
+    """chi' = 0 on an edgeless graph, so the ceiling branch answers 0 with an
+    empty covering; every route reports exactly that."""
+    for n in (0, 1, 3):
+        g = empty(n)
+        assert chromatic_index_bruteforce(g) == 0 and compatibility_index(g) == 0
+        for l, m in ((1, 1), (1, 3), (2, 5)):
+            for route in (excessive_lm_index, exc_algorithm):
+                result = route(g, l, m)
+                assert (result.value, result.rule, covering_to_json(result.witness)) == (
+                    0, RULE_FORMULA_CEIL, {"matchings": []}
+                )
+            assert index_result_to_json(g, l, m, excessive_lm_index(g, l, m)) == {
+                "value": 0,
+                "rule": RULE_FORMULA_CEIL,
+                "witness": {"matchings": []},
+                "checks": {"lower_bound": True, "verified": True},
+            }
+            assert coherence_report_to_json(coherence_report(g, l, m)) == {
+                "l": l, "m": m, "coherent": True, "lhs": 0, "rhs": 0, "characterization_holds": False,
+            }
+            oracle = min_cover_bruteforce(g, l, m)
+            assert (oracle.value, oracle.rule, covering_to_json(oracle.witness)) == (
+                0, RULE_SEARCH, {"matchings": []}
+            )
 
 
 def test_m_index_witnesses_have_exact_size(petersen_graph):
@@ -365,7 +396,7 @@ def test_missing_colouring_raises_invariant_error(monkeypatch):
     memos = excfact_memos()
     for f in memos:
         f.cache_clear()
-    monkeypatch.setattr(coloring_module, "equalized_k_coloring", lambda h, k: None)
+    monkeypatch.setattr(coloring_module, "find_k_edge_coloring", lambda h, k: None)
     try:  # chi'(C4) now reads 3, and no 3-colouring is found either
         for route in (
             lambda: excessive_lm_index(cycle(4), 1, 2),

@@ -16,6 +16,7 @@ from excfact import (
     is_lm_coverable,
     maximum_matching,
 )
+from excfact import matching as matching_module
 from excfact.families import cycle, empty, path, star
 from excfact.oracle import (
     all_matchings,
@@ -28,6 +29,18 @@ from strategies import simple_graphs
 
 def test_empty_graph():
     assert maximum_matching(empty(4)) == Matching(frozenset())
+
+
+def test_isolated_vertices_root_no_augmenting_search(monkeypatch):
+    """Each augmenting search allocates per-vertex arrays, so rooting one at
+    every isolated vertex made a sparse graph quadratic in its vertex count."""
+    roots = []
+    real = matching_module._try_augment
+    monkeypatch.setattr(
+        matching_module, "_try_augment", lambda root, adj, match: roots.append(root) or real(root, adj, match)
+    )
+    g = SimpleGraph(10_000, frozenset({(0, 9_999), (1, 2), (2, 3)}))
+    assert len(maximum_matching(g)) == 2 and roots == [3]
 
 
 def test_even_cycle_has_perfect_matching():

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from excfact import EnumerationCapError, InvariantError, covering_to_json, parse_graph6, verify_covering
+from excfact import EnumerationCapError, InvariantError, SimpleGraph, covering_to_json, parse_graph6, verify_covering
 from excfact import excessive as excessive_module
 from excfact import oracle as oracle_module
 from excfact.families import complete, cycle, empty, star
@@ -43,6 +44,15 @@ def test_all_matchings_canonical_order():
 def test_all_matchings_cap():
     with pytest.raises(EnumerationCapError):
         all_matchings(complete(8), 1, 4, cap=10)
+
+
+def test_matching_enumeration_is_not_bounded_by_the_interpreter_stack():
+    """The first branch of the search over disjoint edges is as deep as the
+    edge count, here well past the recursion limit."""
+    pairs = sys.getrecursionlimit() + 500
+    g = SimpleGraph(2 * pairs, frozenset((2 * i, 2 * i + 1) for i in range(pairs)))
+    with pytest.raises(EnumerationCapError):
+        all_matchings(g, 1, pairs, cap=5_000)
 
 
 def test_matching_count_identity():
