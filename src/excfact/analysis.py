@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil
 
+from .budget import check_budget
 from .coloring import chromatic_index
 from .errors import InvariantError, ParameterError
 from .excessive import _json_value, excessive_lm_index, excessive_m_index
@@ -23,7 +24,10 @@ from .matching import maximum_matching
 class CompatibilityReport:
     com: int
     f_table: dict[int, int] = field(default_factory=dict)
-    edgeless: bool = False
+
+    @property
+    def edgeless(self) -> bool:
+        return not self.f_table
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,11 @@ class CoherenceReport:
     coherent: bool
     lhs: int | float
     rhs: int | float
-    characterization_holds: bool
+
+    @property
+    def characterization_holds(self) -> bool:
+        """The incoherence test; ``coherence_report`` checks it equals ``not coherent``."""
+        return not self.coherent
 
 
 def is_lm_compatible(g: SimpleGraph, l: int, m: int) -> bool:
@@ -74,8 +82,11 @@ def compatibility_report(g: SimpleGraph, max_m: int) -> CompatibilityReport:
     if max_m < 1:
         raise ParameterError("max_m must be at least 1")
     if not g.edges:
-        return CompatibilityReport(com=0, f_table={}, edgeless=True)
-    table = {m: compatibility_function(g, m) for m in range(1, max_m + 1)}
+        return CompatibilityReport(com=0)
+    table = {}
+    for m in range(1, max_m + 1):
+        check_budget()
+        table[m] = compatibility_function(g, m)
     return CompatibilityReport(com=compatibility_index(g), f_table=table)
 
 
@@ -98,9 +109,7 @@ def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
         characterization = False
     if coherent == characterization:
         raise InvariantError("incoherence test disagrees with definition")
-    return CoherenceReport(
-        l=l, m=m, coherent=coherent, lhs=lhs, rhs=rhs, characterization_holds=characterization
-    )
+    return CoherenceReport(l=l, m=m, coherent=coherent, lhs=lhs, rhs=rhs)
 
 
 def compatibility_report_to_json(report: CompatibilityReport) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import FormatError, PreconditionError, StructuralError
 
@@ -53,9 +53,6 @@ class SimpleGraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def max_degree(self) -> int:
         counts = Counter()
         for u, v in self.edges:
@@ -63,39 +60,23 @@ class SimpleGraph:
             counts[v] += 1
         return max(counts.values(), default=0)
 
-    def adjacency(self) -> list[list[int]]:
-        """Sorted adjacency lists (index = vertex)."""
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for entry in adj:
-            entry.sort()
-        return adj
-
 
 @dataclass(frozen=True)
 class Multigraph:
     """Loopless graph with positive integer edge multiplicities.
 
-    ``edges`` is accepted as a mapping ``pair -> multiplicity`` or an
-    iterable of ``(pair, multiplicity)`` items and is stored canonically as
-    a sorted tuple.
+    ``edges`` is accepted as a mapping ``pair -> multiplicity`` and is
+    stored canonically as a sorted tuple.
     """
 
     vertex_count: int
-    edges: tuple[tuple[Edge, int], ...] = ()
+    edges: tuple[tuple[Edge, int], ...]
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise PreconditionError("vertex_count must be nonnegative")
-        items: Iterable[tuple[Edge, int]]
-        if isinstance(self.edges, Mapping):
-            items = self.edges.items()
-        else:
-            items = self.edges
         counts: Counter[Edge] = Counter()
-        for (u, v), mult in items:
+        for (u, v), mult in self.edges.items():
             if not isinstance(mult, int) or mult < 1:
                 raise PreconditionError(f"multiplicity of ({u}, {v}) must be a positive integer")
             counts[normalize_edge(u, v)] += mult

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
+from .budget import check_budget
 from .errors import ParameterError, PreconditionError
 from .graphs import Edge, Matching, SimpleGraph
 
@@ -85,34 +86,38 @@ def _flip_path(v: int, parent, match) -> None:
         v = nxt
 
 
-def _max_matching_pairs(n: int, adj: list[list[int]]) -> list[Edge]:
-    match = [-1] * n
-    for v in range(n):  # cheap deterministic greedy seed
+@lru_cache(maxsize=None)
+def maximum_matching(g: SimpleGraph) -> Matching:
+    """A maximum-cardinality matching of ``g`` (deterministic for a fixed input)."""
+    return Matching(frozenset(_matching_avoiding(g)))
+
+
+def _matching_avoiding(g: SimpleGraph, banned: frozenset[int] = frozenset()) -> list[Edge]:
+    """A maximum matching of ``g`` with the vertices in ``banned`` removed.
+
+    Only endpoints of the remaining edges are numbered, in increasing order:
+    the cost follows the edges, and every scan keeps the vertex order.
+    """
+    live = [(u, v) for u, v in g.sorted_edges() if u not in banned and v not in banned]
+    vertices = sorted({v for e in live for v in e})
+    index = {v: i for i, v in enumerate(vertices)}
+    adj: list[list[int]] = [[] for _ in vertices]
+    for u, v in live:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    match = [-1] * len(vertices)
+    for v, neighbours in enumerate(adj):  # cheap deterministic greedy seed
         if match[v] == -1:
-            for u in adj[v]:
+            for u in neighbours:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
-    for v in range(n):
-        if match[v] == -1 and adj[v]:  # an isolated vertex roots no augmenting path
+    for v in range(len(vertices)):
+        if match[v] == -1:
+            check_budget()
             _try_augment(v, adj, match)
-    return [(v, match[v]) for v in range(n) if match[v] > v]
-
-
-@lru_cache(maxsize=None)
-def maximum_matching(g: SimpleGraph) -> Matching:
-    """A maximum-cardinality matching of ``g`` (deterministic for a fixed input)."""
-    return Matching(frozenset(_max_matching_pairs(g.vertex_count, g.adjacency())))
-
-
-def _matching_avoiding(g: SimpleGraph, banned: frozenset[int]) -> list[Edge]:
-    """A maximum matching of ``g`` with the vertices in ``banned`` removed."""
-    adj = [
-        [] if v in banned else [u for u in neighbours if u not in banned]
-        for v, neighbours in enumerate(g.adjacency())
-    ]
-    return _max_matching_pairs(g.vertex_count, adj)
+    return [(vertices[v], vertices[u]) for v, u in enumerate(match) if u > v]
 
 
 def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matching | None:
@@ -128,7 +133,7 @@ def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matchi
         raise PreconditionError("forced edges must all belong to the graph")
     if len(n) > m:
         return None
-    extra = sorted(_matching_avoiding(g, n.vertices()))
+    extra = _matching_avoiding(g, n.vertices())  # pairs come in increasing order
     target = max(l, len(n))
     if len(n) + len(extra) < target:
         return None
@@ -136,8 +141,10 @@ def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matchi
 
 
 @lru_cache(maxsize=None)
-def _min_edge_extension(g: SimpleGraph) -> int:
-    return min(1 + len(_matching_avoiding(g, frozenset(e))) for e in g.sorted_edges())
+def _nu_coverable(g: SimpleGraph) -> bool:
+    """Whether every edge of ``g`` lies in a maximum matching."""
+    nu = len(maximum_matching(g))
+    return all(1 + len(_matching_avoiding(g, frozenset(e))) >= nu for e in g.sorted_edges())
 
 
 def is_lm_coverable(g: SimpleGraph, l: int) -> bool:
@@ -154,4 +161,4 @@ def is_lm_coverable(g: SimpleGraph, l: int) -> bool:
     nu = len(maximum_matching(g))
     if l != nu:
         return l < nu
-    return _min_edge_extension(g) >= l
+    return _nu_coverable(g)

@@ -340,7 +340,7 @@ def find_incoherence_example(max_vertices: int = 8) -> SimpleGraph | None:
         for edge_total in range(low * chi + 1, high * chi):
             for combo in combinations(pairs, edge_total):
                 g = SimpleGraph(n, frozenset(combo))
-                if g.max_degree() > chi or min(g.degree(v) for v in range(n)) == 0:
+                if g.max_degree() > chi or len({v for e in combo for v in e}) < n:
                     continue
                 if chromatic_index(g) != chi:
                     continue

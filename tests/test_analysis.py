@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from excfact import (
+    BudgetExceededError,
     InvariantError,
     ParameterError,
     coherence_report,
@@ -23,7 +24,8 @@ from excfact.analysis import (
     compatibility_report_to_json,
     f_table_csv,
 )
-from excfact.families import cycle, empty, star
+from excfact.budget import time_budget
+from excfact.families import cycle, empty, petersen, star
 from excfact.oracle import enumerate_labeled_graphs
 
 FIXTURE = Path(__file__).parent / "data" / "incoherent_2_3.g6"
@@ -113,6 +115,13 @@ def test_compatibility_report_shapes(petersen_graph):
     assert f_table_csv(report).splitlines()[:2] == ["m,f", "1,1"]
     edgeless = compatibility_report(empty(3), 4)
     assert edgeless.com == 0 and edgeless.edgeless and edgeless.f_table == {}
+
+
+def test_compatibility_report_stops_on_budget():
+    """With every memo warm, only the per-m loop can notice the deadline."""
+    compatibility_report(petersen(), 5)
+    with pytest.raises(BudgetExceededError), time_budget(0):
+        compatibility_report(petersen(), 10**5)
 
 
 def test_coherence_diagonal_is_trivial():

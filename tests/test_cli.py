@@ -154,6 +154,16 @@ def test_index_rejects_a_huge_vertex_count(capsys, tmp_path):
     assert "vertex count 30000000" in err
 
 
+def test_sparse_edges_on_many_vertices_stay_within_budget(capsys, tmp_path):
+    """Forty disjoint edges spread over the largest vertex range: every edge
+    needs its own matching test at l = nu, and each must follow the edges."""
+    target = tmp_path / "sparse.el"
+    target.write_text("n 258047\n" + "".join(f"{6000 * i} {6000 * i + 1}\n" for i in range(40)))
+    argv = ["index", "--graph", str(target), "--l", "40", "--m", "40", "--budget-ms", "2000"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and json.loads(out)["value"] == 1
+
+
 def test_render_rejects_invalid_witness(capsys, tmp_path):
     graph = tmp_path / "c4.el"
     graph.write_text(format_edge_list(cycle(4)))

@@ -6,8 +6,10 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from excfact import (
+    BudgetExceededError,
     Matching,
     ParameterError,
     PreconditionError,
@@ -17,6 +19,7 @@ from excfact import (
     maximum_matching,
 )
 from excfact import matching as matching_module
+from excfact.budget import time_budget
 from excfact.families import cycle, empty, path, star
 from excfact.oracle import (
     all_matchings,
@@ -173,3 +176,46 @@ def test_coverability_is_the_per_edge_forced_matching_test(g):
 
 def test_coverability_below_the_matching_number_needs_no_per_edge_search():
     assert is_lm_coverable(path(3000), 5)
+
+
+def test_coverability_at_the_matching_number_stops_at_the_first_uncovered_edge(monkeypatch):
+    """Banning the edge (1, 2) of a path isolates vertex 0, so that edge lies
+    in no maximum matching and no later edge needs a matching of its own."""
+    calls = []
+    real = matching_module._matching_avoiding
+    monkeypatch.setattr(
+        matching_module, "_matching_avoiding", lambda *args: calls.append(args) or real(*args)
+    )
+    matching_module._nu_coverable.cache_clear()
+    assert not is_lm_coverable(path(3000), 1500)
+    assert len(calls) <= 3
+
+
+def test_coverability_at_the_matching_number_stops_on_budget():
+    """The greedy seed matches every cycle perfectly, so no augmenting search
+    starts until the ban on edge (3, 4) leaves vertex 2 unmatched."""
+    g = cycle(3000)
+    maximum_matching(g)
+    matching_module._nu_coverable.cache_clear()
+    with pytest.raises(BudgetExceededError), time_budget(0):
+        is_lm_coverable(g, 1500)
+
+
+@given(simple_graphs(max_vertices=7), st.integers(0, 3), st.integers(1, 4), st.integers(0, 3))
+def test_isolated_vertices_change_no_answer(g, forced, l, extra):
+    """Embedding vertex v as 3v + 1 among isolated vertices relabels every answer."""
+
+    def spread(edges):
+        return frozenset((3 * u + 1, 3 * v + 1) for u, v in edges)
+
+    def relabel(found):
+        return None if found is None else Matching(spread(found.edges))
+
+    wide = SimpleGraph(3 * g.vertex_count + 2, spread(g.edges))
+    base = maximum_matching(g)
+    assert maximum_matching(wide) == relabel(base)
+    n = Matching(frozenset(base.sorted_edges()[:forced]))
+    expected = relabel(extend_to_lm_matching(g, n, l, l + extra))
+    assert extend_to_lm_matching(wide, relabel(n), l, l + extra) == expected
+    for size in range(1, len(base) + 2):
+        assert is_lm_coverable(wide, size) == is_lm_coverable(g, size)
