@@ -13,7 +13,7 @@ import argparse
 import time
 
 from excfact import encode_graph6
-from excfact.oracle import find_incoherence_example
+from excfact.analysis import find_incoherence_example
 
 
 def main() -> int:

@@ -28,7 +28,6 @@ from .errors import (
     InvariantError,
     ParameterError,
     PreconditionError,
-    StructuralError,
 )
 from .excessive import (
     INFINITY,
@@ -46,13 +45,11 @@ from .graphs import (
     Multigraph,
     SimpleGraph,
     covering_from_json,
-    covering_induced_by_coloring,
     covering_to_json,
     encode_graph6,
     format_edge_list,
     parse_edge_list,
     parse_graph6,
-    underlying_simple,
 )
 from .matching import (
     extend_to_lm_matching,
@@ -77,14 +74,12 @@ __all__ = [
     "ParameterError",
     "PreconditionError",
     "SimpleGraph",
-    "StructuralError",
     "chromatic_index",
     "coherence_report",
     "compatibility_function",
     "compatibility_index",
     "compatibility_report",
     "covering_from_json",
-    "covering_induced_by_coloring",
     "covering_to_json",
     "encode_graph6",
     "equalize",
@@ -101,6 +96,5 @@ __all__ = [
     "optimal_m_bounded_coloring",
     "parse_edge_list",
     "parse_graph6",
-    "underlying_simple",
     "verify_covering",
 ]

@@ -10,6 +10,7 @@ report builders tabulate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import ceil
 
 from .budget import check_budget
@@ -83,10 +84,12 @@ def compatibility_report(g: SimpleGraph, max_m: int) -> CompatibilityReport:
         raise ParameterError("max_m must be at least 1")
     if not g.edges:
         return CompatibilityReport(com=0)
+    # no matching exceeds nu and |E| <= nu * chi', so f(m) = f(nu) for m >= nu
+    nu = len(maximum_matching(g))
     table = {}
     for m in range(1, max_m + 1):
         check_budget()
-        table[m] = compatibility_function(g, m)
+        table[m] = compatibility_function(g, m) if m <= nu else table[nu]
     return CompatibilityReport(com=compatibility_index(g), f_table=table)
 
 
@@ -98,7 +101,9 @@ def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
     chi') and checks that it agrees with the definition-level comparison.
     """
     lhs = excessive_lm_index(g, l, m).value
-    rhs = min(excessive_m_index(g, i).value for i in range(l, m + 1))
+    # every [i]-index with i > nu >= 1 is infinite; an edgeless graph's is 0
+    top = min(m, max(l, len(maximum_matching(g))))
+    rhs = min(excessive_m_index(g, i).value for i in range(l, top + 1))
     coherent = lhs == rhs
     chi = chromatic_index(g)
     edge_total = g.edge_count
@@ -110,6 +115,34 @@ def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
     if coherent == characterization:
         raise InvariantError("incoherence test disagrees with definition")
     return CoherenceReport(l=l, m=m, coherent=coherent, lhs=lhs, rhs=rhs)
+
+
+def find_incoherence_example(max_vertices: int = 8) -> SimpleGraph | None:
+    """Search for the smallest graph witnessing strict incoherence.
+
+    Looks for a graph with chromatic index ``chi`` = 3 whose [2,3]-index is
+    ``chi`` while both fixed-size indices at 2 and 3 equal 4 > ``chi``.  The
+    edge count is pinned by the requirement 2 < |E|/chi < 3, which keeps the
+    enumeration manageable.
+    """
+    chi, low, high, target = 3, 2, 3, 4
+    for n in range(4, max_vertices + 1):
+        pairs = list(combinations(range(n), 2))
+        for edge_total in range(low * chi + 1, high * chi):
+            for combo in combinations(pairs, edge_total):
+                g = SimpleGraph(n, frozenset(combo))
+                if g.max_degree() > chi or len({v for e in combo for v in e}) < n:
+                    continue
+                if chromatic_index(g) != chi:
+                    continue
+                if excessive_m_index(g, high).value != target:
+                    continue
+                if excessive_m_index(g, low).value != target:
+                    continue
+                if excessive_lm_index(g, low, high).value != chi:
+                    continue
+                return g
+    return None
 
 
 def compatibility_report_to_json(report: CompatibilityReport) -> dict:

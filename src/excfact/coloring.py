@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil
 from typing import Callable
 
 from .budget import check_budget
 from .errors import InvariantError, ParameterError, PreconditionError
-from .graphs import Covering, Edge, Multigraph, SimpleGraph, covering_induced_by_coloring, underlying_simple
+from .graphs import Covering, Edge, Matching, Multigraph, SimpleGraph
 from .matching import maximum_matching
 
 
@@ -50,6 +50,12 @@ class EdgeColoring:
 
     def class_sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
+
+    @cached_property
+    def covering(self) -> Covering:
+        """The colour classes as matchings: the covering of the host's
+        support that this colouring induces, built once per colouring."""
+        return Covering(tuple(Matching(c) for c in self.classes))
 
 
 def coloring_to_json(c: EdgeColoring) -> dict:
@@ -130,7 +136,7 @@ def find_k_edge_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
         return None
     # every class is a matching of the underlying simple graph, so k of them
     # hold at most k * nu instances; this settles dense infeasible cases fast
-    if k * len(maximum_matching(underlying_simple(h))) < len(instances):
+    if k * len(maximum_matching(SimpleGraph(h.vertex_count, h.support()))) < len(instances):
         return None
     classes = _color_in_order(instances, h.vertex_count, k)
     return None if classes is None else EdgeColoring(h, classes)
@@ -220,20 +226,18 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
 
 
 @lru_cache(maxsize=None)
-def _equalized_coloring(g: SimpleGraph, k: int) -> tuple[EdgeColoring, Covering] | None:
-    """The equalized k-edge-colouring of ``g`` and the covering its classes
-    induce, or None when ``g`` has no k-colouring: the one place a simple
-    graph is coloured.  The chromatic index is read from it at the maximum
-    degree, and more colours always suffice (Vizing), so at any ``k >= chi'``
-    it holds a colouring or raises.
+def _equalized_coloring(g: SimpleGraph, k: int) -> EdgeColoring | None:
+    """The equalized k-edge-colouring of ``g``, or None when ``g`` has no
+    k-colouring: the one place a simple graph is coloured.  The chromatic
+    index is read from it at the maximum degree, and more colours always
+    suffice (Vizing), so at any ``k >= chi'`` it holds a colouring or raises.
     """
     found = find_k_edge_coloring(Multigraph.from_simple(g), k)
     if found is None:
         if k > g.max_degree():
             raise InvariantError(f"no colouring with {k} colours")
         return None
-    colouring = equalize(found)
-    return colouring, covering_induced_by_coloring(g, colouring)
+    return equalize(found)
 
 
 def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:
@@ -249,7 +253,7 @@ def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:
     if not g.edges:
         raise ParameterError("graph has no edges")
     k = max(chromatic_index(g), ceil(g.edge_count / m))
-    colouring, _ = _equalized_coloring(g, k)  # k >= chi', so it exists
+    colouring = _equalized_coloring(g, k)  # k >= chi', so it exists
     if max(colouring.class_sizes()) > m:
         raise InvariantError(f"no {k}-colouring with classes of size at most {m}")
     return colouring

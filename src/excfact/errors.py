@@ -5,10 +5,6 @@ class FormatError(ValueError):
     """Malformed textual graph input (edge list or graph6)."""
 
 
-class StructuralError(ValueError):
-    """Two structures that must sit over the same graph do not."""
-
-
 class PreconditionError(ValueError):
     """An operation was called on values violating its precondition."""
 

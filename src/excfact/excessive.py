@@ -32,7 +32,6 @@ from .graphs import (
     Matching,
     Multigraph,
     SimpleGraph,
-    covering_induced_by_coloring,
     covering_to_json,
 )
 from .matching import extend_to_lm_matching, is_lm_coverable
@@ -112,7 +111,7 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
         raise InvariantError("the ceiling witness needs |E| >= m * chi' > 0")
     k = ceil(edge_total / m)
     t = k * m - edge_total
-    psi, _ = _equalized_coloring(g, chi)
+    psi = _equalized_coloring(g, chi)
     if t and k <= chi:
         raise InvariantError("padding is only ever needed when a fresh colour exists")
     donor = sorted(psi.classes[0])
@@ -125,7 +124,7 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     balanced = equalize(EdgeColoring(host, classes))
     if any(size != m for size in balanced.class_sizes()):
         raise InvariantError("padded colouring did not equalize to size m")
-    return covering_induced_by_coloring(g, balanced)
+    return balanced.covering
 
 
 def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
@@ -194,7 +193,7 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
             raise InvariantError("[m]-index disagrees with ceil(|E|/m)")
         result = IndexResult(value, base.witness, RULE_FORMULA_CEIL)
     elif l * chi <= edge_total:
-        _, witness = _equalized_coloring(g, chi)
+        witness = _equalized_coloring(g, chi).covering
         if edge_total == l * chi and excessive_m_index(g, l).value != chi:  # overlap with the fixed-size branch
             raise InvariantError("chromatic-index branch disagrees with the [l]-index")
         result = IndexResult(chi, witness, RULE_FORMULA_CHI)
@@ -227,7 +226,7 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     bounded_l = max(chi, ceil(edge_total / l))
     bounded_m = max(chi, ceil(edge_total / m))
     if bounded_m < bounded_l:
-        _, witness = _equalized_coloring(g, bounded_m)
+        witness = _equalized_coloring(g, bounded_m).covering
         rule = RULE_FORMULA_CEIL if ceil(edge_total / m) > chi else RULE_FORMULA_CHI
         result = IndexResult(bounded_m, witness, rule)
     else:

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from .errors import FormatError, PreconditionError, StructuralError
-
-if TYPE_CHECKING:
-    from .coloring import EdgeColoring
+from .errors import FormatError, PreconditionError
 
 Edge = tuple[int, int]
 
@@ -312,22 +309,6 @@ def parse_graph6(text: str) -> SimpleGraph:
         if pad:
             raise FormatError("nonzero padding bits in graph6 payload")
     return SimpleGraph(n, frozenset(edges))
-
-
-# ---------------------------------------------------------------------------
-# constructions between graphs, coverings, and colourings
-
-
-def underlying_simple(h: Multigraph) -> SimpleGraph:
-    return SimpleGraph(h.vertex_count, h.support())
-
-
-def covering_induced_by_coloring(g: SimpleGraph, coloring: "EdgeColoring") -> Covering:
-    """Project the colour classes of a colouring of a multigraph over ``g``
-    onto matchings of ``g``."""
-    if underlying_simple(coloring.host) != g:
-        raise StructuralError("multigraph does not have the given graph as underlying simple graph")
-    return Covering(tuple(Matching(cls) for cls in coloring.classes))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from itertools import combinations
 
 from . import excessive as _excessive
 from .budget import check_budget
-from .coloring import chromatic_index
 from .errors import EnumerationCapError, InvariantError
 from .excessive import INFINITY, IndexResult, RULE_NOT_COVERABLE, RULE_SEARCH, _json_value, verify_covering
 from .graphs import Covering, Edge, Matching, SimpleGraph, encode_graph6
@@ -324,31 +323,3 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
                         records.append({"graph6": g6, "l": l, "m": m, "main": _json_value(value),
                                         "oracle": _json_value(reference), "check": check})
     return records
-
-
-def find_incoherence_example(max_vertices: int = 8) -> SimpleGraph | None:
-    """Search for the smallest graph witnessing strict incoherence.
-
-    Looks for a graph with chromatic index ``chi`` = 3 whose [2,3]-index is
-    ``chi`` while both fixed-size indices at 2 and 3 equal 4 > ``chi``.  The
-    edge count is pinned by the requirement 2 < |E|/chi < 3, which keeps the
-    enumeration manageable.
-    """
-    chi, low, high, target = 3, 2, 3, 4
-    for n in range(4, max_vertices + 1):
-        pairs = list(combinations(range(n), 2))
-        for edge_total in range(low * chi + 1, high * chi):
-            for combo in combinations(pairs, edge_total):
-                g = SimpleGraph(n, frozenset(combo))
-                if g.max_degree() > chi or len({v for e in combo for v in e}) < n:
-                    continue
-                if chromatic_index(g) != chi:
-                    continue
-                if _excessive.excessive_m_index(g, high).value != target:
-                    continue
-                if _excessive.excessive_m_index(g, low).value != target:
-                    continue
-                if _excessive.excessive_lm_index(g, low, high).value != chi:
-                    continue
-                return g
-    return None

@@ -117,11 +117,29 @@ def test_compatibility_report_shapes(petersen_graph):
     assert edgeless.com == 0 and edgeless.edgeless and edgeless.f_table == {}
 
 
+def test_compatibility_report_reuses_f_of_nu_past_nu(monkeypatch, petersen_graph):
+    calls = []
+    real = analysis.is_lm_compatible
+    monkeypatch.setattr(analysis, "is_lm_compatible", lambda g, l, m: calls.append(m) or real(g, l, m))
+    short = compatibility_report(petersen_graph, 5)
+    n_short = len(calls)
+    long = compatibility_report(petersen_graph, 200)  # nu = 5
+    assert len(calls) - n_short == n_short
+    assert long.f_table == {**short.f_table, **{m: 4 for m in range(6, 201)}}
+
+
 def test_compatibility_report_stops_on_budget():
     """With every memo warm, only the per-m loop can notice the deadline."""
     compatibility_report(petersen(), 5)
     with pytest.raises(BudgetExceededError), time_budget(0):
         compatibility_report(petersen(), 10**5)
+
+
+def test_coherence_report_scans_no_size_above_nu(petersen_graph):
+    excessive_m_index.cache_clear()
+    report = coherence_report(petersen_graph, 1, 10**4)
+    assert excessive_m_index.cache_info().currsize <= 5  # nu = 5
+    assert (report.lhs, report.rhs) == (4, 4)
 
 
 def test_coherence_diagonal_is_trivial():

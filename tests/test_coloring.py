@@ -16,7 +16,6 @@ from excfact import (
     PreconditionError,
     SimpleGraph,
     chromatic_index,
-    covering_induced_by_coloring,
     equalize,
     find_k_edge_coloring,
     optimal_m_bounded_coloring,
@@ -121,7 +120,7 @@ def test_equalize_induced_petersen_multigraph(petersen_graph):
     assert colouring is not None
     balanced = equalize(colouring)
     assert sorted(balanced.class_sizes()) == [4, 4, 5, 5]
-    projected = covering_induced_by_coloring(petersen_graph, balanced)
+    projected = balanced.covering
     assert verify_covering(petersen_graph, projected, 4, 5)
 
 

@@ -22,7 +22,6 @@ from excfact import (
     chromatic_index,
     coherence_report,
     compatibility_index,
-    covering_induced_by_coloring,
     covering_to_json,
     exc_algorithm,
     excessive_lm_index,
@@ -361,7 +360,7 @@ def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
                 if not _takes_m_bounded_branch(g, l, m):
                     continue
                 result = exc_algorithm(g, l, m)
-                expected = covering_induced_by_coloring(g, optimal_m_bounded_coloring(g, m))
+                expected = optimal_m_bounded_coloring(g, m).covering
                 assert covering_to_json(result.witness) == covering_to_json(expected), (g, l, m)
                 above_chi_seen.add(ceil(g.edge_count / m) > chromatic_index(g))
     assert above_chi_seen == {False, True}  # both k = chi' and k > chi' occur

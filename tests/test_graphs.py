@@ -15,16 +15,13 @@ from excfact import (
     Multigraph,
     PreconditionError,
     SimpleGraph,
-    StructuralError,
     covering_from_json,
-    covering_induced_by_coloring,
     covering_to_json,
     encode_graph6,
     find_k_edge_coloring,
     format_edge_list,
     parse_edge_list,
     parse_graph6,
-    underlying_simple,
 )
 from excfact.families import complete, cycle, petersen
 from excfact.oracle import all_matchings, enumerate_labeled_graphs
@@ -192,8 +189,7 @@ def test_induced_covering_identities_random(g):
     h = _multigraph_of(g, covering)
     support = frozenset(e for m in covering for e in m.edges)
     assert h.edge_count == sum(len(m) for m in covering)
-    assert underlying_simple(h) == SimpleGraph(g.vertex_count, support)
-    assert (underlying_simple(h) == g) == (support == g.edges)
+    assert h.support() == support
 
 
 def _multigraph_of(g: SimpleGraph, covering: Covering) -> Multigraph:
@@ -205,33 +201,18 @@ def test_covering_induced_by_coloring_identity():
     g = cycle(4)
     h = Multigraph.from_simple(g)
     colouring = find_k_edge_coloring(h, 2)
-    covering = covering_induced_by_coloring(g, colouring)
+    covering = colouring.covering
+    assert covering is colouring.covering  # built once per colouring
     assert len(covering) == 2
     assert {frozenset(m.edges) for m in covering} == {frozenset(c) for c in colouring.classes}
 
 
 def test_covering_induced_by_coloring_doubled_edge():
-    g = SimpleGraph(2, frozenset({(0, 1)}))
     h = Multigraph(2, {(0, 1): 2})
     colouring = find_k_edge_coloring(h, 2)
-    covering = covering_induced_by_coloring(g, colouring)
+    covering = colouring.covering
     e = Matching(frozenset({(0, 1)}))
     assert covering == Covering((e, e))
-
-
-def test_covering_induced_by_coloring_rejects_mismatch():
-    g = cycle(4)
-    other = SimpleGraph(4, frozenset({(0, 1)}))
-    h = Multigraph.from_simple(other)
-    colouring = find_k_edge_coloring(h, 1)
-    with pytest.raises(StructuralError):
-        covering_induced_by_coloring(g, colouring)
-
-
-def test_underlying_simple():
-    h = Multigraph(3, {(0, 1): 3, (1, 2): 1})
-    assert underlying_simple(h) == SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
-    assert underlying_simple(Multigraph.from_simple(cycle(5))) == cycle(5)
 
 
 def test_covering_json_round_trip(petersen_graph):

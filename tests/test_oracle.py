@@ -13,13 +13,13 @@ import pytest
 from excfact import EnumerationCapError, InvariantError, SimpleGraph, covering_to_json, parse_graph6, verify_covering
 from excfact import excessive as excessive_module
 from excfact import oracle as oracle_module
+from excfact.analysis import find_incoherence_example
 from excfact.families import complete, cycle, empty, star
 from excfact.oracle import (
     SweepConfig,
     all_matchings,
     chromatic_index_bruteforce,
     enumerate_labeled_graphs,
-    find_incoherence_example,
     matching_count_by_deletion,
     max_matching_size_bruteforce,
     min_cover_bruteforce,
