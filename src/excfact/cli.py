@@ -115,7 +115,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     config = SweepConfig(max_vertices=args.max_vertices, max_m=args.max_m, seed=args.seed)
     start = time.monotonic()
-    records = small_graph_sweep(config)
+    try:
+        with time_budget(args.budget_ms):
+            records = small_graph_sweep(config)
+    except BudgetExceededError:
+        return _budget_exceeded()
     for record in records:
         print(json.dumps(record))
     scope = f"n<={config.max_vertices}, m<={config.max_m}, seed={config.seed}"
@@ -188,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-vertices", type=int, default=4)
     sweep.add_argument("--max-m", type=int, default=4)
     sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--budget-ms", type=int, default=10_000)
     sweep.set_defaults(func=_cmd_sweep)
 
     render = sub.add_parser("render", help="DOT drawing of a covering witness")

@@ -145,11 +145,14 @@ def _branch_targets(masks: list[int], edge_count: int) -> list[tuple[int, list[i
     return [(1 << bit, containing[bit]) for bit in order]
 
 
-def min_cover_bruteforce(g: SimpleGraph, l: int, m: int) -> IndexResult:
+def min_cover_bruteforce(g: SimpleGraph, l: int, m: int, *, candidates: list[int] | None = None) -> IndexResult:
     """Exact minimum [l,m]-cover by branch and bound over all [l,m]-matchings.
 
     The candidates are the edge bitmasks of the [l,m]-matchings in canonical
-    order; ``Matching`` objects are built only for the witness.  A greedy
+    order; ``Matching`` objects are built only for the witness.  A caller
+    that already holds them passes ``candidates``: edge-index bitmasks over
+    ``g.sorted_edges()``, exactly the [l,m]-matchings in canonical order;
+    otherwise they are enumerated here.  A greedy
     cover seeds the incumbent: each step takes the candidate covering the
     most uncovered edges, the first such candidate on ties.  The search
     branches on the uncovered edge contained in the fewest candidates (lowest
@@ -165,7 +168,7 @@ def min_cover_bruteforce(g: SimpleGraph, l: int, m: int) -> IndexResult:
     Raises :class:`InvariantError` if the witness fails verification.
     """
     edges = g.sorted_edges()
-    masks = _matching_masks(edges, l, m, 1_000_000)
+    masks = _matching_masks(edges, l, m, 1_000_000) if candidates is None else candidates
     full = (1 << len(edges)) - 1
     union = 0
     for mask in masks:
@@ -304,22 +307,26 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
     """Compare the closed form, the two-branch algorithm, the pairwise
     reduction, and the brute-force minimum cover on every graph in scope.
 
+    A graph's windows share its work: its matchings are enumerated once and
+    filtered by size per window, which keeps each window's candidates in
+    canonical order, and the pairwise route is the minimum of the closed
+    form's [i,i+1] values, the expression ``lm_index_via_pairs`` evaluates.
     Returns one record per disagreement (expected: none); each route verifies its own witnesses.
     """
     records: list[dict] = []
+    windows = [(l, m) for l in range(1, config.max_m + 1) for m in range(l, config.max_m + 1)]
     for g in _sweep_graphs(config):
-        g6 = encode_graph6(g)
-        for l in range(1, config.max_m + 1):
-            for m in range(l, config.max_m + 1):
-                reference = min_cover_bruteforce(g, l, m).value
-                routes = [
-                    ("formula", _excessive.excessive_lm_index(g, l, m).value),
-                    ("exc", _excessive.exc_algorithm(g, l, m).value),
-                ]
-                if l < m:
-                    routes.append(("pairs", _excessive.lm_index_via_pairs(g, l, m)))
-                for check, value in routes:
-                    if value != reference:
-                        records.append({"graph6": g6, "l": l, "m": m, "main": _json_value(value),
-                                        "oracle": _json_value(reference), "check": check})
+        masks = _matching_masks(g.sorted_edges(), 1, config.max_m, 1_000_000)
+        sized = [(mask.bit_count(), mask) for mask in masks]
+        formula = {(l, m): _excessive.excessive_lm_index(g, l, m).value for l, m in windows}
+        for l, m in windows:
+            candidates = [mask for size, mask in sized if l <= size <= m]
+            reference = min_cover_bruteforce(g, l, m, candidates=candidates).value
+            routes = [("formula", formula[l, m]), ("exc", _excessive.exc_algorithm(g, l, m).value)]
+            if l < m:
+                routes.append(("pairs", min(formula[i, i + 1] for i in range(l, m))))
+            for check, value in routes:
+                if value != reference:
+                    records.append({"graph6": encode_graph6(g), "l": l, "m": m, "main": _json_value(value),
+                                    "oracle": _json_value(reference), "check": check})
     return records

@@ -299,6 +299,13 @@ def test_analyze_budget_exceeded_exit_code(tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
+def test_sweep_budget_exceeded_exit_code():
+    proc = _run_subprocess(["sweep", "--max-vertices", "5", "--budget-ms", "0"])
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {"format_version": 1, "outcome": "budget_exceeded"}
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     graph = tmp_path / "petersen.el"
     graph.write_text(format_edge_list(petersen()))

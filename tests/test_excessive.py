@@ -47,7 +47,7 @@ from excfact.excessive import (
     IndexResult,
     index_result_to_json,
 )
-from excfact.families import cycle, empty, petersen, star
+from excfact.families import cycle, empty, path, petersen, star
 from excfact.oracle import (
     SweepConfig,
     chromatic_index_bruteforce,
@@ -280,6 +280,19 @@ def test_boundary_ratios_agree():
     h = cycle(6)
     result = excessive_lm_index(h, 3, 4)
     assert result.value == 2 == excessive_m_index(h, 3).value
+
+
+def test_deep_sparse_windows_do_not_recurse_per_edge():
+    """Large sparse graphs whose colouring search once recursed once per edge
+    and raised RecursionError."""
+    rows, cols = 23, 24
+    grid = SimpleGraph(rows * cols, frozenset(
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    ))
+    assert excessive_lm_index(cycle(1000), 1, 500).value == 2
+    assert excessive_lm_index(path(1100), 1, 549).value == 3
+    assert excessive_lm_index(grid, 1, 264).value == 5
 
 
 def test_result_json_shape(petersen_graph):

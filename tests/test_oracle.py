@@ -96,6 +96,28 @@ def test_min_cover_rejects_unverified_witness(monkeypatch):
         min_cover_bruteforce(cycle(4), 1, 2)
 
 
+def test_one_enumeration_filtered_by_size_gives_every_window_its_candidates():
+    """The sweep enumerates a graph's matchings once and filters them by size
+    per window; that list equals the window's own enumeration, in order, and
+    the cover found from it is the same value, rule and witness."""
+    cap = 1_000_000
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            edges = g.sorted_edges()
+            masks = oracle_module._matching_masks(edges, 1, 5, cap)
+            for l in range(1, 6):
+                for m in range(l, 6):
+                    candidates = [mask for mask in masks if l <= mask.bit_count() <= m]
+                    assert candidates == oracle_module._matching_masks(edges, l, m, cap)
+                    alone = min_cover_bruteforce(g, l, m)
+                    given = min_cover_bruteforce(g, l, m, candidates=candidates)
+                    assert (alone.value, alone.rule) == (given.value, given.rule)
+                    if alone.witness is not None:
+                        assert covering_to_json(alone.witness) == covering_to_json(given.witness)
+                    else:
+                        assert given.witness is None
+
+
 def test_bruteforce_chromatic_index(petersen_graph):
     assert chromatic_index_bruteforce(cycle(5)) == 3
     assert chromatic_index_bruteforce(complete(4)) == 3
@@ -120,12 +142,34 @@ def test_sweep_samples_above_exhaustive_limit():
     assert small_graph_sweep(config) == []
 
 
+def test_sweep_shares_each_graphs_work_across_its_windows(monkeypatch):
+    """One matching enumeration per graph, and one closed-form index per
+    (graph, window): the pairwise route reads the [i,i+1] values already found."""
+    calls = {"masks": 0, "formula": 0}
+    real_masks, real_formula = oracle_module._matching_masks, excessive_module.excessive_lm_index
+
+    def masks(*args):
+        calls["masks"] += 1
+        return real_masks(*args)
+
+    def formula(*args):
+        calls["formula"] += 1
+        return real_formula(*args)
+
+    monkeypatch.setattr(oracle_module, "_matching_masks", masks)
+    monkeypatch.setattr(excessive_module, "excessive_lm_index", formula)
+    assert small_graph_sweep(SweepConfig(max_vertices=4, max_m=4)) == []
+    graphs = sum(2 ** (n * (n - 1) // 2) for n in range(5))
+    assert calls == {"masks": graphs, "formula": graphs * 10}
+
+
 def test_sweep_detects_injected_bug(monkeypatch):
     real = excessive_module.excessive_lm_index
+    skew = {"adjacent_only": False}
 
     def skewed(g, l, m):
         result = real(g, l, m)
-        if result.finite and result.value == 2:
+        if result.finite and result.value == 2 and (m == l + 1 or not skew["adjacent_only"]):
             return excessive_module.IndexResult(
                 3, excessive_module.Covering(result.witness.matchings + result.witness.matchings[:1]),
                 result.rule,
@@ -136,6 +180,10 @@ def test_sweep_detects_injected_bug(monkeypatch):
     records = small_graph_sweep(SweepConfig(max_vertices=3, max_m=2))
     assert records
     assert all(set(r) == {"graph6", "l", "m", "main", "oracle", "check"} for r in records)
+    # skewed only at [i,i+1]: on wider windows only the pairwise route sees it
+    skew["adjacent_only"] = True
+    records = small_graph_sweep(SweepConfig(max_vertices=4, max_m=3))
+    assert any(r["check"] == "pairs" and r["m"] - r["l"] >= 2 for r in records)
 
 
 def test_incoherence_search_returns_known_smallest():
