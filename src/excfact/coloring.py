@@ -70,8 +70,7 @@ def _color_in_order(
     Edges are coloured in the given order, lowest feasible colour first, by
     backtracking over an explicit index (no recursion, so the depth is not
     bounded by the interpreter stack).  Colours are introduced in increasing
-    order, and equal consecutive edges (parallel instances) receive
-    increasing colours.  Classes are bitmasks over indices into ``edges``;
+    order.  Classes are bitmasks over indices into ``edges``;
     ``admits``, if given, sees a class with the current edge joined and may
     reject that colour.  The budget is checked once per search node entered.
     """
@@ -83,8 +82,7 @@ def _color_in_order(
     i = 0
     check_budget()
     while i < n:
-        e = edges[i]
-        u, v = e
+        u, v = edges[i]
         c = assign[i]
         if c:  # the subtree below colour c failed: undo it and try the next one
             bit = 1 << c
@@ -93,7 +91,7 @@ def _color_in_order(
             classes[c - 1] ^= 1 << i
             first = c + 1
         else:
-            first = assign[i - 1] + 1 if i and edges[i - 1] == e else 1
+            first = 1
         taken = masks[u] | masks[v]
         used = top[i]
         for c in range(first, (used + 1 if used < k else k) + 1):
@@ -122,24 +120,22 @@ def _color_in_order(
     return tuple(frozenset(cls) for cls in found)
 
 
-def find_k_edge_coloring(h: Multigraph, k: int) -> EdgeColoring | None:
+def find_k_edge_coloring(g: SimpleGraph, k: int) -> EdgeColoring | None:
     """First (lexicographically smallest) proper k-edge colouring, or None.
 
-    Edge instances are coloured in sorted order, lowest feasible colour
-    first.  Two symmetry breaks keep the search small without changing the
-    first solution found: colours are introduced in increasing order (an
-    edge may open colour ``c + 1`` only once colours ``1..c`` are in use),
-    and parallel instances receive increasing colours.
+    Edges are coloured in sorted order, lowest feasible colour first.  One
+    symmetry break keeps the search small without changing the first
+    solution found: colours are introduced in increasing order (an edge may
+    open colour ``c + 1`` only once colours ``1..c`` are in use).
     """
-    instances = h.instances()
-    if k < 0 or h.max_degree() > k:
+    if g.max_degree() > k:
         return None
-    # every class is a matching of the underlying simple graph, so k of them
-    # hold at most k * nu instances; this settles dense infeasible cases fast
-    if k * len(maximum_matching(SimpleGraph(h.vertex_count, h.support()))) < len(instances):
+    # every class is a matching, so k of them hold at most k * nu edges;
+    # this settles dense infeasible cases fast
+    if k * len(maximum_matching(g)) < g.edge_count:
         return None
-    classes = _color_in_order(instances, h.vertex_count, k)
-    return None if classes is None else EdgeColoring(h, classes)
+    classes = _color_in_order(g.sorted_edges(), g.vertex_count, k)
+    return None if classes is None else EdgeColoring(Multigraph.from_simple(g), classes)
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +228,7 @@ def _equalized_coloring(g: SimpleGraph, k: int) -> EdgeColoring | None:
     index is read from it at the maximum degree, and more colours always
     suffice (Vizing), so at any ``k >= chi'`` it holds a colouring or raises.
     """
-    found = find_k_edge_coloring(Multigraph.from_simple(g), k)
+    found = find_k_edge_coloring(g, k)
     if found is None:
         if k > g.max_degree():
             raise InvariantError(f"no colouring with {k} colours")

@@ -94,24 +94,10 @@ class Multigraph:
     def support(self) -> frozenset[Edge]:
         return frozenset(e for e, _ in self.edges)
 
-    def instances(self) -> list[Edge]:
-        """Every edge instance, parallel copies adjacent, in sorted order."""
-        out: list[Edge] = []
-        for e, mult in self.edges:
-            out.extend([e] * mult)
-        return out
-
     @property
     def edge_count(self) -> int:
         """Number of edges counted with multiplicity."""
         return sum(mult for _, mult in self.edges)
-
-    def max_degree(self) -> int:
-        counts: Counter[int] = Counter()
-        for (u, v), mult in self.edges:
-            counts[u] += mult
-            counts[v] += mult
-        return max(counts.values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -334,7 +320,7 @@ def covering_from_json(obj: object) -> Covering:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise FormatError(f"bad edge entry {pair!r}")
             u, v = pair
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (type(u) is int and type(v) is int):  # bool is an int subclass
                 raise FormatError(f"bad edge entry {pair!r}")
             edges.add(normalize_edge(u, v))
         matchings.append(Matching(frozenset(edges)))

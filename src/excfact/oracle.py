@@ -24,7 +24,7 @@ from itertools import combinations
 
 from . import excessive as _excessive
 from .budget import check_budget
-from .errors import EnumerationCapError, InvariantError
+from .errors import EnumerationCapError, InvariantError, ParameterError
 from .excessive import INFINITY, IndexResult, RULE_NOT_COVERABLE, RULE_SEARCH, _json_value, verify_covering
 from .graphs import Covering, Edge, Matching, SimpleGraph, encode_graph6
 
@@ -165,8 +165,11 @@ def min_cover_bruteforce(g: SimpleGraph, l: int, m: int, *, candidates: list[int
     smaller cover, so value and witness (matchings and their order) are the
     ones the unpruned search in the same order returns.
 
-    Raises :class:`InvariantError` if the witness fails verification.
+    Raises :class:`ParameterError` unless ``1 <= l <= m``, and
+    :class:`InvariantError` if the witness fails verification.
     """
+    if l < 1 or l > m:
+        raise ParameterError(f"invalid size window [{l}, {m}]")
     edges = g.sorted_edges()
     masks = _matching_masks(edges, l, m, 1_000_000) if candidates is None else candidates
     full = (1 << len(edges)) - 1

@@ -78,6 +78,14 @@ def test_index_methods_agree(capsys, petersen_file):
     assert set(values.values()) == {4}
 
 
+def test_index_rejects_an_inverted_window(capsys, tmp_path):
+    graph = tmp_path / "p4.el"
+    graph.write_text(format_edge_list(path(4)))
+    for method in ("formula", "exc", "oracle"):
+        code, out, err = _run(capsys, ["index", "--graph", str(graph), "--l", "2", "--m", "1", "--method", method])
+        assert (code, out, err) == (1, "", "error: invalid size window [2, 1]\n"), method
+
+
 def test_index_reads_graph6_files(capsys):
     code, out, _ = _run(capsys, ["index", "--graph", str(FIXTURE), "--l", "2", "--m", "3"])
     assert code == 0

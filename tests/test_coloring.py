@@ -44,23 +44,14 @@ def test_chromatic_index_against_bruteforce():
 
 
 def test_find_coloring_below_degree_fails():
-    assert find_k_edge_coloring(Multigraph.from_simple(star(3)), 2) is None
-
-
-def test_find_coloring_parallel_edges():
-    h = Multigraph(2, {(0, 1): 3})
-    colouring = find_k_edge_coloring(h, 3)
-    assert colouring is not None
-    assert sorted(colouring.class_sizes()) == [1, 1, 1]
-    assert find_k_edge_coloring(h, 2) is None
+    assert find_k_edge_coloring(star(3), 2) is None
 
 
 def test_petersen_is_class_two(petersen_graph):
-    h = Multigraph.from_simple(petersen_graph)
-    assert find_k_edge_coloring(h, 3) is None
-    found = find_k_edge_coloring(h, 4)
+    assert find_k_edge_coloring(petersen_graph, 3) is None
+    found = find_k_edge_coloring(petersen_graph, 4)
     assert found is not None and found.k == 4
-    assert find_k_edge_coloring(h, 4) == found  # deterministic
+    assert find_k_edge_coloring(petersen_graph, 4) == found  # deterministic
 
 
 def test_coloring_type_rejects_adjacent_same_colour():
@@ -91,13 +82,13 @@ def test_equalize_balances_a_star_colouring():
 
 
 def test_equalized_k_coloring_sizes():
-    assert sorted(equalize(find_k_edge_coloring(Multigraph.from_simple(cycle(4)), 2)).class_sizes()) == [2, 2]
-    assert sorted(equalize(find_k_edge_coloring(Multigraph.from_simple(cycle(4)), 3)).class_sizes()) == [1, 1, 2]
-    assert find_k_edge_coloring(Multigraph.from_simple(cycle(5)), 2) is None
+    assert sorted(equalize(find_k_edge_coloring(cycle(4), 2)).class_sizes()) == [2, 2]
+    assert sorted(equalize(find_k_edge_coloring(cycle(4), 3)).class_sizes()) == [1, 1, 2]
+    assert find_k_edge_coloring(cycle(5), 2) is None
 
 
 def test_equalized_petersen_four_colouring(petersen_graph):
-    colouring = equalize(find_k_edge_coloring(Multigraph.from_simple(petersen_graph), 4))
+    colouring = equalize(find_k_edge_coloring(petersen_graph, 4))
     assert sorted(colouring.class_sizes()) == [3, 4, 4, 4]
 
 
@@ -116,8 +107,7 @@ def test_equalize_induced_petersen_multigraph(petersen_graph):
     covering = Covering((perfect[i], perfect[j], perfect[k], rest))
     host = Multigraph(petersen_graph.vertex_count, Counter(e for m in covering for e in m.edges))
     assert host.edge_count == 18
-    colouring = find_k_edge_coloring(host, 4)
-    assert colouring is not None
+    colouring = EdgeColoring(host, tuple(m.edges for m in covering))  # the matchings are its classes
     balanced = equalize(colouring)
     assert sorted(balanced.class_sizes()) == [4, 4, 5, 5]
     projected = balanced.covering
@@ -164,7 +154,7 @@ def test_optimal_m_bounded_basics(petersen_graph):
 def test_coloring_json_is_canonical(petersen_graph):
     from excfact.coloring import coloring_to_json
 
-    colouring = equalize(find_k_edge_coloring(Multigraph.from_simple(petersen_graph), 4))
+    colouring = equalize(find_k_edge_coloring(petersen_graph, 4))
     blob = coloring_to_json(colouring)
     assert blob["k"] == 4 and len(blob["classes"]) == 4
     for cls in blob["classes"]:
@@ -188,7 +178,6 @@ def test_search_depth_is_not_bounded_by_the_interpreter_stack():
     # the search depth is one node per edge, far beyond the recursion limit
     assert chromatic_index(path(3000)) == 2
     assert chromatic_index(cycle(1001)) == 3
-    host = Multigraph.from_simple(path(3000))
-    colouring = find_k_edge_coloring(host, 2)
-    assert colouring is not None and colouring.host == host and colouring.k == 2
+    colouring = find_k_edge_coloring(path(3000), 2)
+    assert colouring is not None and colouring.host == Multigraph.from_simple(path(3000)) and colouring.k == 2
     assert sorted(colouring.class_sizes()) == [1499, 1500]

@@ -16,7 +16,6 @@ from excfact import (
     INFINITY,
     Matching,
     InvariantError,
-    Multigraph,
     ParameterError,
     SimpleGraph,
     chromatic_index,
@@ -27,7 +26,6 @@ from excfact import (
     excessive_lm_index,
     excessive_m_index,
     is_lm_coverable,
-    find_k_edge_coloring,
     lm_index_via_pairs,
     optimal_m_bounded_coloring,
     parse_graph6,
@@ -36,7 +34,6 @@ from excfact import (
 from excfact import coloring as coloring_module
 from excfact.analysis import coherence_report_to_json
 from excfact import excessive as excessive_module
-from excfact.coloring import coloring_to_json
 from excfact.excessive import (
     RULE_FORMULA_CEIL,
     RULE_FORMULA_CHI,
@@ -312,21 +309,15 @@ def test_main_path_reproduces_golden_witnesses():
     """Values, rules and witnesses (matchings and their order) recorded from
     the previous implementation: the [m]-index for m = 1..3 on 60 seeded
     random 7-vertex graphs and for m = 1..5 on the Petersen graph (35 of
-    these windows take the SEARCH rule), plus k-colourings of two
-    multigraphs with parallel edges."""
+    these windows take the SEARCH rule)."""
     golden = json.loads((Path(__file__).parent / "data" / "main_witnesses.json").read_text())
-    assert len(golden) == 189
+    assert len(golden) == 185
     assert sum(entry.get("rule") == RULE_SEARCH for entry in golden) == 35
     for entry in golden:
-        if "graph6" in entry:
-            result = excessive_m_index(parse_graph6(entry["graph6"]), entry["m"])
-            value = "infinity" if math.isinf(result.value) else result.value
-            witness = None if result.witness is None else covering_to_json(result.witness)
-            assert (value, result.rule, witness) == (entry["value"], entry["rule"], entry["witness"]), entry
-        else:
-            host = Multigraph(entry["vertex_count"], {tuple(e): t for e, t in entry["edges"]})
-            colouring = find_k_edge_coloring(host, entry["k"])
-            assert (None if colouring is None else coloring_to_json(colouring)) == entry["coloring"], entry
+        result = excessive_m_index(parse_graph6(entry["graph6"]), entry["m"])
+        value = "infinity" if math.isinf(result.value) else result.value
+        witness = None if result.witness is None else covering_to_json(result.witness)
+        assert (value, result.rule, witness) == (entry["value"], entry["rule"], entry["witness"]), entry
 
 
 def _result_blob(result: IndexResult) -> dict:
@@ -387,9 +378,9 @@ def test_cold_pass_colours_each_graph_once_per_colour_count(monkeypatch):
     searched = Counter()
     real = coloring_module.find_k_edge_coloring
 
-    def counted(h, k):
-        searched[h, k] += 1
-        return real(h, k)
+    def counted(g, k):
+        searched[g, k] += 1
+        return real(g, k)
 
     monkeypatch.setattr(coloring_module, "find_k_edge_coloring", counted)
     rng = random.Random(11)
@@ -408,7 +399,7 @@ def test_missing_colouring_raises_invariant_error(monkeypatch):
     memos = excfact_memos()
     for f in memos:
         f.cache_clear()
-    monkeypatch.setattr(coloring_module, "find_k_edge_coloring", lambda h, k: None)
+    monkeypatch.setattr(coloring_module, "find_k_edge_coloring", lambda g, k: None)
     try:  # chi'(C4) now reads 3, and no 3-colouring is found either
         for route in (
             lambda: excessive_lm_index(cycle(4), 1, 2),

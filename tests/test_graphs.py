@@ -23,6 +23,7 @@ from excfact import (
     parse_edge_list,
     parse_graph6,
 )
+from excfact.coloring import EdgeColoring
 from excfact.families import complete, cycle, petersen
 from excfact.oracle import all_matchings, enumerate_labeled_graphs
 from strategies import simple_graphs
@@ -198,9 +199,7 @@ def _multigraph_of(g: SimpleGraph, covering: Covering) -> Multigraph:
 
 
 def test_covering_induced_by_coloring_identity():
-    g = cycle(4)
-    h = Multigraph.from_simple(g)
-    colouring = find_k_edge_coloring(h, 2)
+    colouring = find_k_edge_coloring(cycle(4), 2)
     covering = colouring.covering
     assert covering is colouring.covering  # built once per colouring
     assert len(covering) == 2
@@ -208,8 +207,7 @@ def test_covering_induced_by_coloring_identity():
 
 
 def test_covering_induced_by_coloring_doubled_edge():
-    h = Multigraph(2, {(0, 1): 2})
-    colouring = find_k_edge_coloring(h, 2)
+    colouring = EdgeColoring(Multigraph(2, {(0, 1): 2}), (frozenset({(0, 1)}), frozenset({(0, 1)})))
     covering = colouring.covering
     e = Matching(frozenset({(0, 1)}))
     assert covering == Covering((e, e))
@@ -226,7 +224,10 @@ def test_covering_json_round_trip(petersen_graph):
     assert covering_from_json(blob) == witness
 
 
-@pytest.mark.parametrize("obj", [{}, {"matchings": 3}, {"matchings": [[(0,)]]}, {"matchings": [[[0, "x"]]]}])
+@pytest.mark.parametrize(
+    "obj",
+    [{}, {"matchings": 3}, {"matchings": [[(0,)]]}, {"matchings": [[[0, "x"]]]}, {"matchings": [[[True, False]]]}],
+)
 def test_covering_json_rejects_malformed(obj):
     with pytest.raises(FormatError):
         covering_from_json(obj)
