@@ -42,7 +42,6 @@ from .graphs import (
     Covering,
     Edge,
     Matching,
-    Multigraph,
     SimpleGraph,
     covering_from_json,
     covering_to_json,
@@ -70,7 +69,6 @@ __all__ = [
     "IndexResult",
     "InvariantError",
     "Matching",
-    "Multigraph",
     "ParameterError",
     "PreconditionError",
     "SimpleGraph",

@@ -83,10 +83,11 @@ def _cmd_index(args) -> int:
                 result = exc_algorithm(g, args.l, m)
             else:
                 result = min_cover_bruteforce(g, args.l, m)
+            # the report's lower-bound check reads chi', which the oracle route never computed
+            payload = index_result_to_json(g, args.l, m, result, include_witness=args.witness)
     except BudgetExceededError:
         d = g.max_degree()
         return _budget_exceeded(chromatic_index_bracket=[d, d + 1])
-    payload = index_result_to_json(g, args.l, m, result, include_witness=args.witness)
     _emit({"format_version": FORMAT_VERSION, **payload})
     return 0 if result.finite else 2
 

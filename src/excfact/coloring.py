@@ -1,11 +1,11 @@
 """Proper edge colourings: exact chromatic index, k-colouring search, and
 class-size equalization.
 
-A colouring of a multigraph is represented by its colour classes: a tuple of
-``k`` edge-pair sets.  Each class must be a matching, and a pair with
-multiplicity ``t`` in the host must appear in exactly ``t`` distinct classes
-(parallel instances always receive distinct colours), so instance identity
-never needs to be tracked.
+A colouring of a simple graph is represented by its colour classes: a tuple
+of ``k`` edge sets.  Each class must be a matching of the graph and every
+edge must lie in at least one class.  An edge in ``t`` classes stands for
+``t`` parallel instances with distinct colours, so an edge's multiplicity is
+its class count and instance identity never needs to be tracked.
 """
 
 from __future__ import annotations
@@ -18,31 +18,26 @@ from typing import Callable
 
 from .budget import check_budget
 from .errors import InvariantError, ParameterError, PreconditionError
-from .graphs import Covering, Edge, Matching, Multigraph, SimpleGraph
+from .graphs import Covering, Edge, Matching, SimpleGraph
 from .matching import maximum_matching
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    host: Multigraph
+    graph: SimpleGraph
     classes: tuple[frozenset[Edge], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(frozenset(c) for c in self.classes))
-        counts: Counter[Edge] = Counter()
-        support = self.host.support()
-        for cls in self.classes:
-            seen: set[int] = set()
-            for u, v in cls:
-                if (u, v) not in support:
-                    raise PreconditionError(f"colour class uses non-edge ({u}, {v})")
-                if u in seen or v in seen:
-                    raise PreconditionError("a colour class must be a matching")
-                seen.add(u)
-                seen.add(v)
-                counts[(u, v)] += 1
-        if counts != Counter(self.host.multiplicities()):
-            raise PreconditionError("class membership counts do not match edge multiplicities")
+        classes = tuple(frozenset(c) for c in self.classes)
+        object.__setattr__(self, "classes", classes)
+        edges = self.graph.edges
+        for cls in classes:
+            if not cls <= edges:
+                raise PreconditionError(f"colour class uses non-edge {min(cls - edges)}")
+            if len({x for e in cls for x in e}) != 2 * len(cls):
+                raise PreconditionError("a colour class must be a matching")
+        if frozenset().union(*classes) != edges:
+            raise PreconditionError("every edge must lie in some colour class")
 
     @property
     def k(self) -> int:
@@ -53,8 +48,8 @@ class EdgeColoring:
 
     @cached_property
     def covering(self) -> Covering:
-        """The colour classes as matchings: the covering of the host's
-        support that this colouring induces, built once per colouring."""
+        """The colour classes as matchings: the covering of the graph that
+        this colouring induces, built once per colouring."""
         return Covering(tuple(Matching(c) for c in self.classes))
 
 
@@ -135,7 +130,7 @@ def find_k_edge_coloring(g: SimpleGraph, k: int) -> EdgeColoring | None:
     if k * len(maximum_matching(g)) < g.edge_count:
         return None
     classes = _color_in_order(g.sorted_edges(), g.vertex_count, k)
-    return None if classes is None else EdgeColoring(Multigraph.from_simple(g), classes)
+    return None if classes is None else EdgeColoring(g, classes)
 
 
 @lru_cache(maxsize=None)
@@ -191,10 +186,12 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
     classes with smallest colour indices, then the lexicographically
     smallest qualifying path.  If ``trace`` is given, the sum of squared
     class sizes is appended after every swap (it strictly decreases).
+    Every edge keeps its class count, which is checked.
     """
     classes = [set(cls) for cls in c.classes]
     if len(classes) <= 1:
         return c
+    counts = Counter(e for cls in classes for e in cls)
     while True:
         sizes = [len(cls) for cls in classes]
         hi, lo = max(sizes), min(sizes)
@@ -213,8 +210,10 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
         classes[b] = (classes[b] - comp_b) | comp_a
         if trace is not None:
             trace.append(sum(len(cls) ** 2 for cls in classes))
-    result = EdgeColoring(c.host, tuple(frozenset(cls) for cls in classes))
-    total = c.host.edge_count
+    result = EdgeColoring(c.graph, tuple(frozenset(cls) for cls in classes))
+    if Counter(e for cls in result.classes for e in cls) != counts:
+        raise InvariantError("equalizing changed the class count of an edge")
+    total = sum(c.class_sizes())
     k = len(classes)
     if not all(total // k <= s <= ceil(total / k) for s in result.class_sizes()):
         raise InvariantError("equalized class sizes differ by more than one")

@@ -13,7 +13,6 @@ verified before it is returned.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
@@ -30,7 +29,6 @@ from .graphs import (
     Covering,
     Edge,
     Matching,
-    Multigraph,
     SimpleGraph,
     covering_to_json,
 )
@@ -98,12 +96,11 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     """A covering by ``ceil(|E|/m)`` matchings of size exactly m.
 
     Valid whenever ``|E| >= m * chi'``.  Take an equalized chromatic-index
-    colouring (all classes have at least m edges then), duplicate the
-    ``t = k*m - |E|`` lexicographically smallest edges of its first class as
-    parallel instances, and give them a fresh colour: ``t > 0`` forces
-    ``k > chi'`` so a colour is free.  Equalizing the padded colouring makes
-    every class size exactly ``k*m / k = m``; projecting the classes back
-    onto the graph yields the covering.
+    colouring (all classes have at least m edges then), and repeat the
+    ``t = k*m - |E|`` lexicographically smallest edges of its first class in
+    a fresh class: ``t > 0`` forces ``k > chi'`` so a colour is free.
+    Equalizing the padded colouring makes every class size exactly
+    ``k*m / k = m``, and its classes are the covering.
     """
     edge_total = g.edge_count
     chi = chromatic_index(g)
@@ -117,11 +114,9 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     donor = sorted(psi.classes[0])
     if not len(donor) >= m > t:
         raise InvariantError("the first class cannot donate the padding edges")
-    duplicated = donor[:t]
-    host = Multigraph(g.vertex_count, Counter(g.edges) + Counter(duplicated))
-    padding = (frozenset(duplicated),) if t else ()
+    padding = (frozenset(donor[:t]),) if t else ()
     classes = psi.classes + padding + tuple(frozenset() for _ in range(k - chi - len(padding)))
-    balanced = equalize(EdgeColoring(host, classes))
+    balanced = equalize(EdgeColoring(g, classes))
     if any(size != m for size in balanced.class_sizes()):
         raise InvariantError("padded colouring did not equalize to size m")
     return balanced.covering

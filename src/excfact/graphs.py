@@ -1,4 +1,4 @@
-"""Graphs, multigraphs, matchings, and coverings.
+"""Graphs, matchings, and coverings.
 
 Vertices are 0-indexed integers and an edge is stored as the pair
 ``(min(u, v), max(u, v))``, so edge sets have canonical, order-independent
@@ -56,48 +56,6 @@ class SimpleGraph:
             counts[u] += 1
             counts[v] += 1
         return max(counts.values(), default=0)
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    """Loopless graph with positive integer edge multiplicities.
-
-    ``edges`` is accepted as a mapping ``pair -> multiplicity`` and is
-    stored canonically as a sorted tuple.
-    """
-
-    vertex_count: int
-    edges: tuple[tuple[Edge, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise PreconditionError("vertex_count must be nonnegative")
-        counts: Counter[Edge] = Counter()
-        for (u, v), mult in self.edges.items():
-            if not isinstance(mult, int) or mult < 1:
-                raise PreconditionError(f"multiplicity of ({u}, {v}) must be a positive integer")
-            counts[normalize_edge(u, v)] += mult
-        for _, v in counts:
-            if v >= self.vertex_count:
-                raise PreconditionError(
-                    f"edge endpoint {v} outside vertex range 0..{self.vertex_count - 1}"
-                )
-        object.__setattr__(self, "edges", tuple(sorted(counts.items())))
-
-    @classmethod
-    def from_simple(cls, g: SimpleGraph) -> "Multigraph":
-        return cls(g.vertex_count, {e: 1 for e in g.edges})
-
-    def multiplicities(self) -> dict[Edge, int]:
-        return dict(self.edges)
-
-    def support(self) -> frozenset[Edge]:
-        return frozenset(e for e, _ in self.edges)
-
-    @property
-    def edge_count(self) -> int:
-        """Number of edges counted with multiplicity."""
-        return sum(mult for _, mult in self.edges)
 
 
 @dataclass(frozen=True)
@@ -163,11 +121,20 @@ class Covering:
 _MAX_VERTICES = 258047  # the most vertices encode_graph6 writes; edge lists are capped there too
 
 
+def _decimal(token: str) -> int:
+    """``token`` read as ASCII decimal digits (no sign, no underscores);
+    ValueError otherwise."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> SimpleGraph:
     """Parse the ``u v`` per-line edge format.
 
-    An optional ``n <vertex_count>`` header fixes the vertex count; blank
-    lines and ``#`` comments are ignored; duplicate edge lines collapse.
+    Vertices and the vertex count are written in ASCII decimal digits.  An
+    optional ``n <vertex_count>`` header fixes the vertex count; blank lines
+    and ``#`` comments are ignored; duplicate edge lines collapse.
     """
     header: int | None = None
     pairs: set[Edge] = set()
@@ -183,20 +150,16 @@ def parse_edge_list(text: str) -> SimpleGraph:
             if len(tokens) != 2:
                 raise FormatError(f"line {lineno}: header must be 'n <vertex_count>'")
             try:
-                header = int(tokens[1])
+                header = _decimal(tokens[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
-            if header < 0:
-                raise FormatError(f"line {lineno}: negative vertex count")
             continue
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _decimal(tokens[0]), _decimal(tokens[1])
         except ValueError:
-            raise FormatError(f"line {lineno}: non-integer token in {line!r}") from None
-        if u < 0 or v < 0:
-            raise FormatError(f"line {lineno}: negative vertex in {line!r}")
+            raise FormatError(f"line {lineno}: non-decimal token in {line!r}") from None
         if u == v:
             raise FormatError(f"line {lineno}: loop edge at vertex {u}")
         pairs.add(normalize_edge(u, v))

@@ -9,7 +9,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from excfact.coloring import EdgeColoring
-from excfact.graphs import Multigraph, SimpleGraph
+from excfact.graphs import SimpleGraph
 
 
 @st.composite
@@ -31,11 +31,11 @@ def nonempty_graphs(draw, max_vertices: int = 8) -> SimpleGraph:
 
 
 def random_valid_coloring(rng: random.Random, max_vertices: int = 12) -> EdgeColoring:
-    """A random multigraph (multiplicity <= 3) together with a valid colouring.
+    """A random valid colouring in which an edge lies in up to 3 classes.
 
     The instance is built colouring-first: random matchings become the colour
-    classes and the host multiplicities are read off the class memberships,
-    so validity holds by construction.
+    classes and the graph is the union of the classes, so validity holds by
+    construction.
     """
     n = rng.randint(2, max_vertices)
     k = rng.randint(1, 6)
@@ -57,6 +57,5 @@ def random_valid_coloring(rng: random.Random, max_vertices: int = 12) -> EdgeCol
             if e in cls:
                 cls.remove(e)
                 surplus -= 1
-    counts = Counter(e for cls in classes for e in cls)
-    host = Multigraph(n, dict(counts))
-    return EdgeColoring(host, tuple(frozenset(cls) for cls in classes))
+    graph = SimpleGraph(n, frozenset().union(*classes))
+    return EdgeColoring(graph, tuple(frozenset(cls) for cls in classes))

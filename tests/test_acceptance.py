@@ -132,16 +132,16 @@ def test_criterion_05_equalizer_postconditions():
     rng = random.Random(20240607)
     for case in range(500):
         colouring = random_valid_coloring(rng, max_vertices=12)
-        total, k = colouring.host.edge_count, colouring.k
+        total, k = sum(colouring.class_sizes()), colouring.k
         trace: list[int] = []
         balanced = equalize(colouring, trace=trace)
         lo, hi = total // k, math.ceil(total / k)
-        if balanced.k != k or balanced.host != colouring.host:
-            failures.append(f"case {case}: host or colour count changed")
+        if balanced.k != k or balanced.graph != colouring.graph:
+            failures.append(f"case {case}: graph or colour count changed")
         if not all(lo <= s <= hi for s in balanced.class_sizes()):
             failures.append(f"case {case}: sizes {balanced.class_sizes()} outside [{lo}, {hi}]")
         merged = Counter(e for cls in balanced.classes for e in cls)
-        if merged != Counter(colouring.host.multiplicities()):
+        if merged != Counter(e for cls in colouring.classes for e in cls):
             failures.append(f"case {case}: edge multiset changed")
         steps = [sum(s * s for s in colouring.class_sizes())] + trace
         if not all(a > b for a, b in zip(steps, steps[1:])):

@@ -21,7 +21,6 @@ PUBLIC = [
     "IndexResult",
     "InvariantError",
     "Matching",
-    "Multigraph",
     "ParameterError",
     "PreconditionError",
     "SimpleGraph",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from excfact import covering_from_json, format_edge_list, verify_covering
 from excfact.cli import main
-from excfact.families import cycle, path, petersen, star
+from excfact.families import complete, cycle, path, petersen, star
 
 FIXTURE = Path(__file__).parent / "data" / "incoherent_2_3.g6"
 
@@ -270,9 +270,9 @@ def test_fuzzed_witness_json_exits_with_a_documented_code(witness):
         assert _quiet_main(["render", "--graph", str(graph), "--witness", str(target)]) in {0, 1}
 
 
-def _run_subprocess(args):
+def _run_subprocess(args, timeout=300):
     return subprocess.run(
-        [sys.executable, "-m", "excfact.cli", *args], capture_output=True, text=True, timeout=300
+        [sys.executable, "-m", "excfact.cli", *args], capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -296,6 +296,20 @@ def test_oracle_budget_exceeded_exit_code(tmp_path):
     )
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["outcome"] == "budget_exceeded"
+
+
+def test_oracle_budget_covers_the_json_report(tmp_path):
+    # the oracle answers K40 at [1,1] at once, but the report's lower bound
+    # needs chi'(K40), a search far longer than the budget
+    graph = tmp_path / "k40.el"
+    graph.write_text(format_edge_list(complete(40)))
+    proc = _run_subprocess(
+        ["index", "--graph", str(graph), "--l", "1", "--m", "1", "--method", "oracle", "--budget-ms", "1500"],
+        timeout=60,
+    )
+    assert proc.returncode in (0, 3)
+    if proc.returncode == 3:
+        assert json.loads(proc.stdout)["outcome"] == "budget_exceeded"
 
 
 def test_analyze_budget_exceeded_exit_code(tmp_path):

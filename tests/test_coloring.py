@@ -10,8 +10,8 @@ import pytest
 
 from excfact import (
     Covering,
+    InvariantError,
     Matching,
-    Multigraph,
     ParameterError,
     PreconditionError,
     SimpleGraph,
@@ -55,15 +55,26 @@ def test_petersen_is_class_two(petersen_graph):
 
 
 def test_coloring_type_rejects_adjacent_same_colour():
-    h = Multigraph.from_simple(SimpleGraph(3, frozenset({(0, 1), (1, 2)})))
+    h = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
     with pytest.raises(PreconditionError):
         EdgeColoring(h, (frozenset({(0, 1), (1, 2)}),))
     with pytest.raises(PreconditionError):
         EdgeColoring(h, (frozenset({(0, 1)}),))  # (1,2) never coloured
+    with pytest.raises(PreconditionError):
+        EdgeColoring(h, (frozenset({(0, 1)}), frozenset({(1, 2)}), frozenset({(0, 2)})))  # not an edge
+
+
+def test_equalize_checks_every_edge_keeps_its_class_count(monkeypatch):
+    # a broken swap that copies (0,1) into the small class instead of moving it
+    g = SimpleGraph(4, frozenset({(0, 1), (2, 3)}))
+    colouring = EdgeColoring(g, (g.edges, frozenset()))
+    monkeypatch.setattr("excfact.coloring._surplus_path", lambda a, b: ({(0, 1)}, {(0, 1)}))
+    with pytest.raises(InvariantError, match="class count"):
+        equalize(colouring)
 
 
 def test_equalize_fixed_point():
-    h = Multigraph.from_simple(SimpleGraph(3, frozenset({(0, 1), (1, 2)})))
+    h = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
     colouring = EdgeColoring(h, (frozenset({(0, 1)}), frozenset({(1, 2)})))
     assert equalize(colouring) == colouring
 
@@ -72,8 +83,7 @@ def test_equalize_balances_a_star_colouring():
     # path of 4 edges coloured alternately with colours {1, 2} then colour 2
     # emptied into colour 3 by hand: sizes (2, 2, 0) must become (2, 1, 1)
     g = SimpleGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
-    h = Multigraph.from_simple(g)
-    skewed = EdgeColoring(h, (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2), (3, 4)}), frozenset()))
+    skewed = EdgeColoring(g, (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2), (3, 4)}), frozenset()))
     trace: list[int] = []
     balanced = equalize(skewed, trace=trace)
     assert sorted(balanced.class_sizes()) == [1, 1, 2]
@@ -81,7 +91,7 @@ def test_equalize_balances_a_star_colouring():
     assert trace and all(a > b for a, b in zip([before] + trace, trace))
 
 
-def test_equalized_k_coloring_sizes():
+def test_equalized_coloring_sizes():
     assert sorted(equalize(find_k_edge_coloring(cycle(4), 2)).class_sizes()) == [2, 2]
     assert sorted(equalize(find_k_edge_coloring(cycle(4), 3)).class_sizes()) == [1, 1, 2]
     assert find_k_edge_coloring(cycle(5), 2) is None
@@ -105,9 +115,8 @@ def test_equalize_induced_petersen_multigraph(petersen_graph):
     i, j, k = first_valid
     rest = Matching(petersen_graph.edges - perfect[i].edges - perfect[j].edges - perfect[k].edges)
     covering = Covering((perfect[i], perfect[j], perfect[k], rest))
-    host = Multigraph(petersen_graph.vertex_count, Counter(e for m in covering for e in m.edges))
-    assert host.edge_count == 18
-    colouring = EdgeColoring(host, tuple(m.edges for m in covering))  # the matchings are its classes
+    colouring = EdgeColoring(petersen_graph, tuple(m.edges for m in covering))  # the matchings are its classes
+    assert sum(colouring.class_sizes()) == 18
     balanced = equalize(colouring)
     assert sorted(balanced.class_sizes()) == [4, 4, 5, 5]
     projected = balanced.covering
@@ -126,16 +135,16 @@ def test_equalize_random_instances():
     rng = random.Random(2024)
     for _ in range(120):
         colouring = random_valid_coloring(rng)
-        total, k = colouring.host.edge_count, colouring.k
+        total, k = sum(colouring.class_sizes()), colouring.k
         trace: list[int] = []
         balanced = equalize(colouring, trace=trace)
-        assert balanced.host == colouring.host and balanced.k == k
+        assert balanced.graph == colouring.graph and balanced.k == k
         lo, hi = total // k, -(-total // k)
         assert all(lo <= s <= hi for s in balanced.class_sizes())
         start = sum(s * s for s in colouring.class_sizes())
         assert all(a > b for a, b in zip([start] + trace, trace))
         merged = Counter(e for cls in balanced.classes for e in cls)
-        assert merged == Counter(colouring.host.multiplicities())
+        assert merged == Counter(e for cls in colouring.classes for e in cls)
 
 
 def test_optimal_m_bounded_basics(petersen_graph):
@@ -179,5 +188,5 @@ def test_search_depth_is_not_bounded_by_the_interpreter_stack():
     assert chromatic_index(path(3000)) == 2
     assert chromatic_index(cycle(1001)) == 3
     colouring = find_k_edge_coloring(path(3000), 2)
-    assert colouring is not None and colouring.host == Multigraph.from_simple(path(3000)) and colouring.k == 2
+    assert colouring is not None and colouring.graph == path(3000) and colouring.k == 2
     assert sorted(colouring.class_sizes()) == [1499, 1500]
