@@ -163,7 +163,10 @@ def min_cover_bruteforce(g: SimpleGraph, l: int, m: int, *, candidates: list[int
     covers at most one edge per vertex.  Only subtrees without a strictly
     smaller cover are pruned, and the incumbent changes only on a strictly
     smaller cover, so value and witness (matchings and their order) are the
-    ones the unpruned search in the same order returns.
+    ones the unpruned search in the same order returns.  So the result
+    depends only on ``g`` and the candidates: ``l`` and ``m`` enter only the
+    final verification and a bound that holds for every ``m`` at least the
+    largest candidate size.
 
     Raises :class:`ParameterError` unless ``1 <= l <= m``, and
     :class:`InvariantError` if the witness fails verification.
@@ -296,6 +299,13 @@ class SweepConfig:
 
     exhaustive_limit: int = 5
 
+    def __post_init__(self) -> None:
+        if self.max_m < 1:
+            raise ParameterError(f"max_m must be at least 1, got {self.max_m}")
+        for name in ("max_vertices", "samples_per_size", "exhaustive_limit"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 def _sweep_graphs(config: SweepConfig):
     rng = random.Random(config.seed)
@@ -314,6 +324,12 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
     filtered by size per window, which keeps each window's candidates in
     canonical order, and the pairwise route is the minimum of the closed
     form's [i,i+1] values, the expression ``lm_index_via_pairs`` evaluates.
+    Windows with equal candidate lists share one brute-force search, which is
+    exact: its result depends only on the graph and the candidates (see
+    :func:`min_cover_bruteforce`), and every candidate lies in each such
+    window, so the witness verified in the first of them covers them all.
+    No matching has more than nu edges, so for each l the windows [l, m]
+    with m >= nu all share one search.
     Returns one record per disagreement (expected: none); each route verifies its own witnesses.
     """
     records: list[dict] = []
@@ -322,9 +338,13 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
         masks = _matching_masks(g.sorted_edges(), 1, config.max_m, 1_000_000)
         sized = [(mask.bit_count(), mask) for mask in masks]
         formula = {(l, m): _excessive.excessive_lm_index(g, l, m).value for l, m in windows}
+        references: dict[tuple[int, ...], int | float] = {}
         for l, m in windows:
             candidates = [mask for size, mask in sized if l <= size <= m]
-            reference = min_cover_bruteforce(g, l, m, candidates=candidates).value
+            key = tuple(candidates)
+            if key not in references:
+                references[key] = min_cover_bruteforce(g, l, m, candidates=candidates).value
+            reference = references[key]
             routes = [("formula", formula[l, m]), ("exc", _excessive.exc_algorithm(g, l, m).value)]
             if l < m:
                 routes.append(("pairs", min(formula[i, i + 1] for i in range(l, m))))

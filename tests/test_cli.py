@@ -328,6 +328,15 @@ def test_sweep_budget_exceeded_exit_code():
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [["--max-m", "0"], ["--max-m", "-1"], ["--max-vertices", "-2"]])
+def test_sweep_that_would_compare_nothing_exits_1(flags):
+    proc = _run_subprocess(["sweep", *flags])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     graph = tmp_path / "petersen.el"
     graph.write_text(format_edge_list(petersen()))

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from excfact import EnumerationCapError, InvariantError, SimpleGraph, covering_to_json, parse_graph6, verify_covering
+from excfact import (
+    EnumerationCapError,
+    InvariantError,
+    ParameterError,
+    SimpleGraph,
+    covering_to_json,
+    encode_graph6,
+    parse_graph6,
+    verify_covering,
+)
 from excfact import excessive as excessive_module
 from excfact import oracle as oracle_module
 from excfact.analysis import find_incoherence_example
@@ -99,12 +108,15 @@ def test_min_cover_rejects_unverified_witness(monkeypatch):
 def test_one_enumeration_filtered_by_size_gives_every_window_its_candidates():
     """The sweep enumerates a graph's matchings once and filters them by size
     per window; that list equals the window's own enumeration, in order, and
-    the cover found from it is the same value, rule and witness."""
+    the cover found from it is the same value, rule and witness.  Windows
+    with equal lists get the same value, rule and witness from their own
+    searches, so the sweep may search each distinct list once."""
     cap = 1_000_000
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
             edges = g.sorted_edges()
             masks = oracle_module._matching_masks(edges, 1, 5, cap)
+            by_list: dict[tuple[int, ...], tuple] = {}
             for l in range(1, 6):
                 for m in range(l, 6):
                     candidates = [mask for mask in masks if l <= mask.bit_count() <= m]
@@ -116,6 +128,9 @@ def test_one_enumeration_filtered_by_size_gives_every_window_its_candidates():
                         assert covering_to_json(alone.witness) == covering_to_json(given.witness)
                     else:
                         assert given.witness is None
+                    witness = None if given.witness is None else covering_to_json(given.witness)
+                    result = (given.value, given.rule, witness)
+                    assert by_list.setdefault(tuple(candidates), result) == result, (encode_graph6(g), l, m)
 
 
 def test_bruteforce_chromatic_index(petersen_graph):
@@ -142,11 +157,26 @@ def test_sweep_samples_above_exhaustive_limit():
     assert small_graph_sweep(config) == []
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"max_m": 0}, {"max_m": -1}, {"max_vertices": -2}, {"samples_per_size": -1}, {"exhaustive_limit": -1}],
+)
+def test_sweep_config_rejects_scopes_that_compare_nothing(fields):
+    with pytest.raises(ParameterError):
+        SweepConfig(**fields)
+
+
+def test_sweep_config_accepts_the_smallest_scopes():
+    assert small_graph_sweep(SweepConfig(max_vertices=0, max_m=1, samples_per_size=0, exhaustive_limit=0)) == []
+
+
 def test_sweep_shares_each_graphs_work_across_its_windows(monkeypatch):
-    """One matching enumeration per graph, and one closed-form index per
-    (graph, window): the pairwise route reads the [i,i+1] values already found."""
-    calls = {"masks": 0, "formula": 0}
+    """One matching enumeration per graph, one closed-form index per
+    (graph, window): the pairwise route reads the [i,i+1] values already found,
+    and one brute-force cover per distinct candidate list of a graph."""
+    calls = {"masks": 0, "formula": 0, "cover": 0}
     real_masks, real_formula = oracle_module._matching_masks, excessive_module.excessive_lm_index
+    real_cover = oracle_module.min_cover_bruteforce
 
     def masks(*args):
         calls["masks"] += 1
@@ -156,11 +186,44 @@ def test_sweep_shares_each_graphs_work_across_its_windows(monkeypatch):
         calls["formula"] += 1
         return real_formula(*args)
 
+    def cover(*args, **kwargs):
+        calls["cover"] += 1
+        return real_cover(*args, **kwargs)
+
     monkeypatch.setattr(oracle_module, "_matching_masks", masks)
     monkeypatch.setattr(excessive_module, "excessive_lm_index", formula)
+    monkeypatch.setattr(oracle_module, "min_cover_bruteforce", cover)
     assert small_graph_sweep(SweepConfig(max_vertices=4, max_m=4)) == []
     graphs = sum(2 ** (n * (n - 1) // 2) for n in range(5))
-    assert calls == {"masks": graphs, "formula": graphs * 10}
+    # one search per window would be graphs * 10 = 760
+    assert calls == {"masks": graphs, "formula": graphs * 10, "cover": 221}
+
+
+def test_sweep_catches_a_wrong_oracle_value_in_every_window_sharing_it(monkeypatch):
+    """A reference value that is off by one for one candidate list of one
+    graph is reported in each window with that list, and nowhere else."""
+    target = cycle(4)
+    edges = target.sorted_edges()
+    masks = oracle_module._matching_masks(edges, 1, 4, 1_000_000)
+    lists = {(l, m): tuple(x for x in masks if l <= x.bit_count() <= m) for l in range(1, 5) for m in range(l, 5)}
+    skewed_list = lists[2, 2]  # the two perfect matchings
+    sharing = {window for window, candidates in lists.items() if candidates == skewed_list}
+    assert sharing == {(2, 2), (2, 3), (2, 4)}
+    real_cover = oracle_module.min_cover_bruteforce
+
+    def cover(g, l, m, *, candidates):
+        result = real_cover(g, l, m, candidates=candidates)
+        if g == target and tuple(candidates) == skewed_list:
+            return excessive_module.IndexResult(
+                result.value + 1, excessive_module.Covering(result.witness.matchings + result.witness.matchings[:1]),
+                result.rule,
+            )
+        return result
+
+    monkeypatch.setattr(oracle_module, "min_cover_bruteforce", cover)
+    records = small_graph_sweep(SweepConfig(max_vertices=4, max_m=4))
+    assert {(r["graph6"], r["l"], r["m"]) for r in records} == {(encode_graph6(target), l, m) for l, m in sharing}
+    assert all(r["oracle"] == r["main"] + 1 for r in records)
 
 
 def test_sweep_detects_injected_bug(monkeypatch):
