@@ -3,96 +3,66 @@
 Exact computation of excessive [l,m]-indices with witness coverings,
 equalized edge colourings, compatibility and coherence analyses, and
 brute-force oracles that double-check everything at desk scale.
+
+``import excfact`` loads no submodule: a public name imports its home module
+the first time it is used, so a caller pays only for the layers it runs.
 """
 
-from .analysis import (
-    CoherenceReport,
-    CompatibilityReport,
-    coherence_report,
-    compatibility_function,
-    compatibility_index,
-    compatibility_report,
-    is_lm_compatible,
-)
-from .coloring import (
-    EdgeColoring,
-    chromatic_index,
-    equalize,
-    find_k_edge_coloring,
-    optimal_m_bounded_coloring,
-)
-from .errors import (
-    BudgetExceededError,
-    EnumerationCapError,
-    FormatError,
-    InvariantError,
-    ParameterError,
-    PreconditionError,
-)
-from .excessive import (
-    INFINITY,
-    IndexResult,
-    exc_algorithm,
-    excessive_lm_index,
-    excessive_m_index,
-    lm_index_via_pairs,
-    verify_covering,
-)
-from .graphs import (
-    Covering,
-    Edge,
-    Matching,
-    SimpleGraph,
-    covering_from_json,
-    covering_to_json,
-    encode_graph6,
-    format_edge_list,
-    parse_edge_list,
-    parse_graph6,
-)
-from .matching import (
-    extend_to_lm_matching,
-    is_lm_coverable,
-    maximum_matching,
-)
+from importlib import import_module
 
-__all__ = [
-    "BudgetExceededError",
-    "CoherenceReport",
-    "CompatibilityReport",
-    "Covering",
-    "Edge",
-    "EdgeColoring",
-    "EnumerationCapError",
-    "FormatError",
-    "INFINITY",
-    "IndexResult",
-    "InvariantError",
-    "Matching",
-    "ParameterError",
-    "PreconditionError",
-    "SimpleGraph",
-    "chromatic_index",
-    "coherence_report",
-    "compatibility_function",
-    "compatibility_index",
-    "compatibility_report",
-    "covering_from_json",
-    "covering_to_json",
-    "encode_graph6",
-    "equalize",
-    "exc_algorithm",
-    "excessive_lm_index",
-    "excessive_m_index",
-    "extend_to_lm_matching",
-    "find_k_edge_coloring",
-    "format_edge_list",
-    "is_lm_compatible",
-    "is_lm_coverable",
-    "lm_index_via_pairs",
-    "maximum_matching",
-    "optimal_m_bounded_coloring",
-    "parse_edge_list",
-    "parse_graph6",
-    "verify_covering",
-]
+#: each public name and the module that defines it
+_HOME = {
+    "BudgetExceededError": "errors",
+    "CoherenceReport": "analysis",
+    "CompatibilityReport": "analysis",
+    "Covering": "graphs",
+    "Edge": "graphs",
+    "EdgeColoring": "coloring",
+    "EnumerationCapError": "errors",
+    "FormatError": "errors",
+    "INFINITY": "excessive",
+    "IndexResult": "excessive",
+    "InvariantError": "errors",
+    "Matching": "graphs",
+    "ParameterError": "errors",
+    "PreconditionError": "errors",
+    "SimpleGraph": "graphs",
+    "chromatic_index": "coloring",
+    "coherence_report": "analysis",
+    "compatibility_function": "analysis",
+    "compatibility_index": "analysis",
+    "compatibility_report": "analysis",
+    "covering_from_json": "graphs",
+    "covering_to_json": "graphs",
+    "encode_graph6": "graphs",
+    "equalize": "coloring",
+    "exc_algorithm": "excessive",
+    "excessive_lm_index": "excessive",
+    "excessive_m_index": "excessive",
+    "extend_to_lm_matching": "matching",
+    "find_k_edge_coloring": "coloring",
+    "format_edge_list": "graphs",
+    "is_lm_compatible": "analysis",
+    "is_lm_coverable": "matching",
+    "lm_index_via_pairs": "excessive",
+    "maximum_matching": "matching",
+    "optimal_m_bounded_coloring": "coloring",
+    "parse_edge_list": "graphs",
+    "parse_graph6": "graphs",
+    "verify_covering": "excessive",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

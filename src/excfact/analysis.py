@@ -9,7 +9,6 @@ report builders tabulate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil
 
@@ -17,27 +16,31 @@ from .budget import check_budget
 from .coloring import chromatic_index
 from .errors import InvariantError, ParameterError
 from .excessive import _json_value, excessive_lm_index, excessive_m_index
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _Value
 from .matching import maximum_matching
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    com: int
-    f_table: dict[int, int] = field(default_factory=dict)
+class CompatibilityReport(_Value):
+    __slots__ = _fields = ("com", "f_table")
+
+    def __init__(self, com: int, f_table: dict[int, int] | None = None) -> None:
+        object.__setattr__(self, "com", com)
+        object.__setattr__(self, "f_table", {} if f_table is None else f_table)
 
     @property
     def edgeless(self) -> bool:
         return not self.f_table
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    l: int
-    m: int
-    coherent: bool
-    lhs: int | float
-    rhs: int | float
+class CoherenceReport(_Value):
+    __slots__ = _fields = ("l", "m", "coherent", "lhs", "rhs")
+
+    def __init__(self, l: int, m: int, coherent: bool, lhs: int | float, rhs: int | float) -> None:
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "coherent", coherent)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def characterization_holds(self) -> bool:

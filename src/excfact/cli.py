@@ -17,17 +17,11 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import (
-    coherence_report,
-    coherence_report_to_json,
-    compatibility_report,
-    compatibility_report_to_json,
-)
 from .budget import time_budget
 from .errors import BudgetExceededError, EnumerationCapError, FormatError, ParameterError, PreconditionError
 from .excessive import covering_violations, exc_algorithm, excessive_lm_index, index_result_to_json
 from .graphs import Covering, SimpleGraph, covering_from_json, parse_edge_list, parse_graph6
-from .oracle import SweepConfig, min_cover_bruteforce, small_graph_sweep
+# analysis and oracle are imported inside the commands that run them, so the others start faster
 
 FORMAT_VERSION = 1
 
@@ -82,6 +76,8 @@ def _cmd_index(args) -> int:
             elif args.method == "exc":
                 result = exc_algorithm(g, args.l, m)
             else:
+                from .oracle import min_cover_bruteforce
+
                 result = min_cover_bruteforce(g, args.l, m)
             # the report's lower-bound check reads chi', which the oracle route never computed
             payload = index_result_to_json(g, args.l, m, result, include_witness=args.witness)
@@ -93,6 +89,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import coherence_report, coherence_report_to_json, compatibility_report, compatibility_report_to_json
+
     if not args.compat and not args.coherence:
         raise ParameterError("nothing to do: pass --compat and/or --coherence")
     g = _load_graph(args.graph)
@@ -114,6 +112,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .oracle import SweepConfig, small_graph_sweep
+
     config = SweepConfig(max_vertices=args.max_vertices, max_m=args.max_m, seed=args.seed)
     start = time.monotonic()
     try:

@@ -11,21 +11,24 @@ its class count and instance identity never needs to be tracked.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import ceil
 from typing import Callable
 
 from .budget import check_budget
 from .errors import InvariantError, ParameterError, PreconditionError
-from .graphs import Covering, Edge, Matching, SimpleGraph
+from .graphs import Covering, Edge, Matching, SimpleGraph, _Value
 from .matching import maximum_matching
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    graph: SimpleGraph
-    classes: tuple[frozenset[Edge], ...]
+class EdgeColoring(_Value):
+    # no __slots__: cached_property keeps ``covering`` in the instance __dict__
+    _fields = ("graph", "classes")
+
+    def __init__(self, graph: SimpleGraph, classes: tuple[frozenset[Edge], ...]) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "classes", classes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         classes = tuple(frozenset(c) for c in self.classes)

@@ -13,7 +13,6 @@ verified before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
 
@@ -30,6 +29,7 @@ from .graphs import (
     Edge,
     Matching,
     SimpleGraph,
+    _Value,
     covering_to_json,
 )
 from .matching import extend_to_lm_matching, is_lm_coverable
@@ -47,13 +47,16 @@ _RULES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class IndexResult:
+class IndexResult(_Value):
     """An index value plus the witness covering and the rule that produced it."""
 
-    value: int | float
-    witness: Covering | None
-    rule: str
+    __slots__ = _fields = ("value", "witness", "rule")
+
+    def __init__(self, value: int | float, witness: Covering | None, rule: str) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "rule", rule)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.rule not in _RULES:

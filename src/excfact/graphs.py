@@ -9,7 +9,6 @@ library safe to memoise and to share between threads.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import FormatError, PreconditionError
@@ -25,12 +24,54 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in ``_fields``, in constructor order, and its
+    constructor sets each with ``object.__setattr__`` (one statement per
+    field: objects are built in the hot loops) before it calls the
+    validating ``__post_init__``, if it has one.  Equality, hash and
+    ``repr`` follow the fields as a frozen dataclass's do; pickling and
+    copying call the constructor again, which validates the copy.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimpleGraph(_Value):
     """Finite undirected graph without loops or parallel edges."""
 
-    vertex_count: int
-    edges: frozenset[Edge] = frozenset()
+    __slots__ = _fields = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: frozenset[Edge] = frozenset()) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
@@ -42,6 +83,15 @@ class SimpleGraph:
                 raise PreconditionError(
                     f"edge endpoint {v} outside vertex range 0..{self.vertex_count - 1}"
                 )
+
+    # the memos hash a graph on every call: no loop over the fields, here or in Matching
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.vertex_count == other.vertex_count and self.edges == other.edges
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -58,11 +108,14 @@ class SimpleGraph:
         return max(counts.values(), default=0)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Value):
     """A set of pairwise vertex-disjoint edges."""
 
-    edges: frozenset[Edge] = frozenset()
+    __slots__ = _fields = ("edges",)
+
+    def __init__(self, edges: frozenset[Edge] = frozenset()) -> None:
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         canonical = frozenset(normalize_edge(u, v) for u, v in self.edges)
@@ -74,6 +127,14 @@ class Matching:
             seen.add(u)
             seen.add(v)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.edges == other.edges
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.edges,))
+
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -84,15 +145,18 @@ class Matching:
         return frozenset(v for e in self.edges for v in e)
 
 
-@dataclass(frozen=True, eq=False)
-class Covering:
+class Covering(_Value):
     """An ordered multiset of matchings.
 
     Repeats are allowed and meaningful, so equality compares the multiset of
     matchings rather than the stored order.
     """
 
-    matchings: tuple[Matching, ...] = ()
+    __slots__ = _fields = ("matchings",)
+
+    def __init__(self, matchings: tuple[Matching, ...] = ()) -> None:
+        object.__setattr__(self, "matchings", matchings)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matchings", tuple(self.matchings))

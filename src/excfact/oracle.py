@@ -2,10 +2,8 @@
 
 Nothing here shares search code with the main modules: matchings are
 enumerated as edge-index bitmasks by a depth-first search over increasing
-edge indices (which yields them in canonical order without sorting), the
-minimum cover is an exact branch-and-bound over that enumeration, the
-chromatic index is recomputed as a vertex colouring of the line graph, and
-the maximum matching size is a bitmask dynamic program over vertex subsets.
+edge indices (which yields them in canonical order without sorting), and
+the minimum cover is an exact branch-and-bound over that enumeration.
 Agreement with the main path is therefore evidence, not tautology.
 
 The branch-and-bound seeds its incumbent with a greedy cover (first
@@ -18,15 +16,13 @@ vertex), so its witness does not depend on how much it prunes; see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from . import excessive as _excessive
 from .budget import check_budget
 from .errors import EnumerationCapError, InvariantError, ParameterError
 from .excessive import INFINITY, IndexResult, RULE_NOT_COVERABLE, RULE_SEARCH, _json_value, verify_covering
-from .graphs import Covering, Edge, Matching, SimpleGraph, encode_graph6
+from .graphs import Covering, Edge, Matching, SimpleGraph, _Value, encode_graph6
 
 
 def _matching_masks(edges: list[Edge], l: int, m: int, cap: int) -> list[int]:
@@ -73,60 +69,6 @@ def _matching_of(edges: list[Edge], mask: int) -> Matching:
         chosen.append(edges[low.bit_length() - 1])
         mask ^= low
     return Matching(frozenset(chosen))
-
-
-def all_matchings(g: SimpleGraph, l: int, m: int, cap: int = 1_000_000) -> list[Matching]:
-    """Every matching of ``g`` with size in [l, m], in canonical order.
-
-    Aborts with :class:`EnumerationCapError` once more than ``cap`` matchings
-    have been produced; the caller owns the combinatorial-blowup risk.
-    """
-    edges = g.sorted_edges()
-    return [_matching_of(edges, mask) for mask in _matching_masks(edges, l, m, cap)]
-
-
-def matching_count_by_deletion(g: SimpleGraph) -> int:
-    """Number of matchings (including the empty one) via edge deletion/contraction."""
-
-    def count(edges: tuple[Edge, ...]) -> int:
-        if not edges:
-            return 1
-        (u, v), rest = edges[0], edges[1:]
-        without = count(rest)
-        shrunk = tuple(e for e in rest if u not in e and v not in e)
-        return without + count(shrunk)
-
-    return count(tuple(g.sorted_edges()))
-
-
-def max_matching_size_bruteforce(g: SimpleGraph) -> int:
-    """Maximum matching size by dynamic programming over vertex subsets."""
-    n = g.vertex_count
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
-    @lru_cache(maxsize=None)
-    def best(active: int) -> int:
-        live = active
-        while live:
-            v = (live & -live).bit_length() - 1
-            if adj[v] & active:
-                break
-            live &= live - 1
-        else:
-            return 0
-        rest = active & ~(1 << v)
-        result = best(rest)  # leave v unmatched
-        partners = adj[v] & active
-        while partners:
-            u = (partners & -partners).bit_length() - 1
-            result = max(result, 1 + best(rest & ~(1 << u)))
-            partners &= partners - 1
-        return result
-
-    return best((1 << n) - 1)
 
 
 def _branch_targets(masks: list[int], edge_count: int) -> list[tuple[int, list[int]]]:
@@ -236,46 +178,6 @@ def min_cover_bruteforce(g: SimpleGraph, l: int, m: int, *, candidates: list[int
     return IndexResult(best_size, witness, RULE_SEARCH)
 
 
-def chromatic_index_bruteforce(g: SimpleGraph) -> int:
-    """Exact chromatic index via vertex colouring of the line graph.
-
-    Colours are tried from the maximum degree upward with no further
-    shortcut, keeping this route independent of the main implementation.
-    """
-    edges = g.sorted_edges()
-    neighbours: list[list[int]] = [[] for _ in edges]
-    for i, j in combinations(range(len(edges)), 2):
-        if set(edges[i]) & set(edges[j]):
-            neighbours[i].append(j)
-            neighbours[j].append(i)
-    order = list(range(len(edges)))[::-1]
-    colour = [0] * len(edges)
-
-    def colourable(pos: int, k: int) -> bool:
-        check_budget()
-        if pos == len(order):
-            return True
-        item = order[pos]
-        forbidden = {colour[other] for other in neighbours[item] if colour[other]}
-        for c in range(1, k + 1):
-            if c in forbidden:
-                continue
-            colour[item] = c
-            if colourable(pos + 1, k):
-                return True
-            colour[item] = 0
-            if c > max((colour[o] for o in order[:pos]), default=0):
-                break  # higher fresh colours are symmetric
-        return False
-
-    k = g.max_degree()
-    while True:
-        colour[:] = [0] * len(edges)
-        if colourable(0, k):
-            return k
-        k += 1
-
-
 def enumerate_labeled_graphs(n: int):
     """All 2^C(n,2) labeled graphs on n vertices, in subset order."""
     pairs = list(combinations(range(n), 2))
@@ -290,14 +192,21 @@ def random_graph(rng: random.Random, n: int) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_vertices: int = 5
-    max_m: int = 5
-    seed: int = 0
-    samples_per_size: int = 40  # for vertex counts above the exhaustive limit
+class SweepConfig(_Value):
+    """Scope of :func:`small_graph_sweep`; ``samples_per_size`` random graphs
+    are drawn for each vertex count above ``exhaustive_limit``."""
 
-    exhaustive_limit: int = 5
+    __slots__ = _fields = ("max_vertices", "max_m", "seed", "samples_per_size", "exhaustive_limit")
+
+    def __init__(
+        self, max_vertices: int = 5, max_m: int = 5, seed: int = 0, samples_per_size: int = 40, exhaustive_limit: int = 5
+    ) -> None:
+        object.__setattr__(self, "max_vertices", max_vertices)
+        object.__setattr__(self, "max_m", max_m)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples_per_size", samples_per_size)
+        object.__setattr__(self, "exhaustive_limit", exhaustive_limit)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.max_m < 1:

@@ -31,13 +31,8 @@ from excfact import (
     verify_covering,
 )
 from excfact.families import petersen
-from excfact.oracle import (
-    all_matchings,
-    enumerate_labeled_graphs,
-    max_matching_size_bruteforce,
-    min_cover_bruteforce,
-    random_graph,
-)
+from excfact.oracle import enumerate_labeled_graphs, min_cover_bruteforce, random_graph
+from oracles import all_matchings, max_matching_size_bruteforce
 from strategies import random_valid_coloring
 
 FIXTURE = Path(__file__).parent / "data" / "incoherent_2_3.g6"

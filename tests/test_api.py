@@ -4,6 +4,9 @@ gate and the paper's objects need."""
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import excfact
@@ -76,3 +79,50 @@ def test_each_module_imports_only_the_layers_below_it():
         assert not upward, f"{module} imports {sorted(upward)} from its own layer or above"
     # the oracle's independence: nothing of the main path's searches
     assert _relative_imports("oracle") <= {"budget", "errors", "excessive", "graphs"}
+    # the walk reaches imports inside function bodies, such as the CLI's deferred ones
+    assert {"analysis", "oracle"} <= _relative_imports("cli")
+
+
+def _fresh(code: str):
+    """What ``code`` prints as JSON when run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_only_the_layers_it_runs():
+    loaded = set(_fresh("import sys, excfact.cli, json; print(json.dumps(sorted(sys.modules)))"))
+    assert {"excfact.cli", "excfact.excessive"} <= loaded
+    assert not {"excfact.analysis", "excfact.oracle", "dataclasses", "inspect"} & loaded
+
+
+NAMESPACE_PROBE = """
+import json, sys
+import excfact
+loaded = sorted(m for m in sys.modules if m.startswith("excfact."))
+star = {}
+exec("from excfact import *", star)
+try:
+    excfact.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+from excfact import analysis, oracle
+print(json.dumps({
+    "loaded": loaded,
+    "star": sorted(name for name in star if not name.startswith("__")),
+    "same": all(star[name] is getattr(excfact, name) for name in excfact.__all__),
+    "dir": sorted(set(excfact.__all__) - set(dir(excfact))),
+    "unknown": unknown,
+    "submodules": [analysis.__name__, oracle.__name__],
+}))
+"""
+
+
+def test_package_import_is_lazy_and_resolves_every_public_name():
+    found = _fresh(NAMESPACE_PROBE)
+    assert found["loaded"] == []  # ``import excfact`` alone loads no submodule
+    assert found["star"] == PUBLIC and found["same"]
+    assert found["dir"] == []
+    assert found["unknown"] == "AttributeError"
+    assert found["submodules"] == ["excfact.analysis", "excfact.oracle"]

@@ -23,7 +23,8 @@ from excfact import (
 )
 from excfact.coloring import EdgeColoring
 from excfact.families import complete, cycle, empty, path, star
-from excfact.oracle import all_matchings, chromatic_index_bruteforce, enumerate_labeled_graphs
+from excfact.oracle import enumerate_labeled_graphs
+from oracles import all_matchings, chromatic_index_bruteforce
 from strategies import random_valid_coloring
 
 

@@ -47,13 +47,13 @@ from excfact.excessive import (
 from excfact.families import cycle, empty, path, petersen, star
 from excfact.oracle import (
     SweepConfig,
-    chromatic_index_bruteforce,
     enumerate_labeled_graphs,
     min_cover_bruteforce,
     random_graph,
     small_graph_sweep,
 )
 from memos import excfact_memos
+from oracles import chromatic_index_bruteforce
 
 
 def _small_graphs(max_vertices):

@@ -21,12 +21,8 @@ from excfact import (
 from excfact import matching as matching_module
 from excfact.budget import time_budget
 from excfact.families import cycle, empty, path, star
-from excfact.oracle import (
-    all_matchings,
-    enumerate_labeled_graphs,
-    max_matching_size_bruteforce,
-    random_graph,
-)
+from excfact.oracle import enumerate_labeled_graphs, random_graph
+from oracles import all_matchings, max_matching_size_bruteforce
 from strategies import simple_graphs
 
 

@@ -24,17 +24,8 @@ from excfact import excessive as excessive_module
 from excfact import oracle as oracle_module
 from excfact.analysis import find_incoherence_example
 from excfact.families import complete, cycle, empty, star
-from excfact.oracle import (
-    SweepConfig,
-    all_matchings,
-    chromatic_index_bruteforce,
-    enumerate_labeled_graphs,
-    matching_count_by_deletion,
-    max_matching_size_bruteforce,
-    min_cover_bruteforce,
-    random_graph,
-    small_graph_sweep,
-)
+from excfact.oracle import SweepConfig, enumerate_labeled_graphs, min_cover_bruteforce, random_graph, small_graph_sweep
+from oracles import all_matchings, chromatic_index_bruteforce, matching_count_by_deletion, max_matching_size_bruteforce
 
 
 def test_all_matchings_counts(petersen_graph):
