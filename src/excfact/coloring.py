@@ -155,6 +155,8 @@ def _surplus_path(a_edges: set[Edge], b_edges: set[Edge]) -> tuple[set[Edge], se
     Components are edge-disjoint, so that is the first such component met
     when the union is walked in sorted-edge order.
     """
+    if not b_edges:  # every edge of ``a`` is a surplus path on its own
+        return ({min(a_edges)}, set()) if a_edges else None
     at: tuple[dict[int, Edge], dict[int, Edge]] = ({}, {})  # vertex -> its edge in a, in b
     for side, edges in enumerate((a_edges, b_edges)):
         for e in edges:
@@ -189,11 +191,13 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
     classes with smallest colour indices, then the lexicographically
     smallest qualifying path.  If ``trace`` is given, the sum of squared
     class sizes is appended after every swap (it strictly decreases).
-    Every edge keeps its class count, which is checked.
+    Every edge keeps its class count, which is checked.  A colouring that
+    is balanced already is returned itself.
     """
-    classes = [set(cls) for cls in c.classes]
-    if len(classes) <= 1:
+    sizes = c.class_sizes()
+    if len(sizes) <= 1 or max(sizes) - min(sizes) <= 1:
         return c
+    classes = [set(cls) for cls in c.classes]
     counts = Counter(e for cls in classes for e in cls)
     while True:
         sizes = [len(cls) for cls in classes]

@@ -78,16 +78,19 @@ def covering_violations(g: SimpleGraph, c: Covering, l: int, m: int) -> list[str
         raise ParameterError(f"invalid size window [{l}, {m}]")
     problems: list[str] = []
     covered: set[Edge] = set()
+    edges = g.edges
     for idx, matching in enumerate(c.matchings):
-        stray = matching.edges - g.edges
-        if stray:
-            problems.append(f"matching {idx} uses non-edges {sorted(stray)}")
-        if not l <= len(matching) <= m:
-            problems.append(f"matching {idx} has size {len(matching)} outside [{l}, {m}]")
-        covered |= matching.edges & g.edges
-    missing = g.edges - covered
-    if missing:
-        problems.append(f"edges not covered: {sorted(missing)}")
+        used = matching.edges
+        if used <= edges:
+            covered.update(used)
+        else:
+            problems.append(f"matching {idx} uses non-edges {sorted(used - edges)}")
+            covered.update(used & edges)
+        size = len(used)
+        if not l <= size <= m:
+            problems.append(f"matching {idx} has size {size} outside [{l}, {m}]")
+    if len(covered) < len(edges):  # covered holds edges of g only
+        problems.append(f"edges not covered: {sorted(edges - covered)}")
     return problems
 
 

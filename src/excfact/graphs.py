@@ -24,6 +24,18 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _canonical_edges(edges) -> frozenset[Edge]:
+    """``edges`` as a frozenset of normalized edges; a frozenset of plain
+    ``(u, v)`` tuples with ``0 <= u < v`` is one already and is kept as is."""
+    if type(edges) is frozenset:
+        for e in edges:
+            if type(e) is not tuple or len(e) != 2 or not 0 <= e[0] < e[1]:
+                break
+        else:
+            return edges
+    return frozenset([normalize_edge(u, v) for u, v in edges])
+
+
 class _Value:
     """Base of the immutable value types.
 
@@ -76,7 +88,7 @@ class SimpleGraph(_Value):
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise PreconditionError("vertex_count must be nonnegative")
-        canonical = frozenset(normalize_edge(u, v) for u, v in self.edges)
+        canonical = _canonical_edges(self.edges)
         object.__setattr__(self, "edges", canonical)
         for _, v in canonical:
             if v >= self.vertex_count:
@@ -118,14 +130,10 @@ class Matching(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        canonical = frozenset(normalize_edge(u, v) for u, v in self.edges)
+        canonical = _canonical_edges(self.edges)
         object.__setattr__(self, "edges", canonical)
-        seen: set[int] = set()
-        for u, v in canonical:
-            if u in seen or v in seen:
-                raise PreconditionError("edges of a matching must be vertex-disjoint")
-            seen.add(u)
-            seen.add(v)
+        if len({x for e in canonical for x in e}) != 2 * len(canonical):
+            raise PreconditionError("edges of a matching must be vertex-disjoint")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -21,7 +21,7 @@ from excfact import (
     optimal_m_bounded_coloring,
     verify_covering,
 )
-from excfact.coloring import EdgeColoring
+from excfact.coloring import EdgeColoring, _surplus_path
 from excfact.families import complete, cycle, empty, path, star
 from excfact.oracle import enumerate_labeled_graphs
 from oracles import all_matchings, chromatic_index_bruteforce
@@ -78,6 +78,24 @@ def test_equalize_fixed_point():
     h = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
     colouring = EdgeColoring(h, (frozenset({(0, 1)}), frozenset({(1, 2)})))
     assert equalize(colouring) == colouring
+    uneven = EdgeColoring(SimpleGraph(4, h.edges | {(2, 3)}), (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2)})))
+    trace: list[int] = []
+    assert equalize(uneven, trace=trace) == uneven
+    assert trace == []
+
+
+def test_equalize_returns_a_balanced_colouring_itself():
+    # pins the balanced-input fast path: fails on the code before it, which
+    # returned an equal rebuilt copy
+    h = SimpleGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+    colouring = EdgeColoring(h, (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2)})))
+    assert equalize(colouring) is colouring
+
+
+def test_surplus_path_into_an_empty_class_is_the_smallest_edge():
+    assert _surplus_path({(4, 5), (2, 3), (0, 6)}, set()) == ({(0, 6)}, set())
+    assert _surplus_path({(1, 2)}, set()) == ({(1, 2)}, set())
+    assert _surplus_path(set(), set()) is None
 
 
 def test_equalize_balances_a_star_colouring():

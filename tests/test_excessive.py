@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -42,9 +43,10 @@ from excfact.excessive import (
     RULE_NOT_COVERABLE,
     RULE_SEARCH,
     IndexResult,
+    covering_violations,
     index_result_to_json,
 )
-from excfact.families import cycle, empty, path, petersen, star
+from excfact.families import complete, cycle, empty, path, petersen, star
 from excfact.oracle import (
     SweepConfig,
     enumerate_labeled_graphs,
@@ -71,6 +73,44 @@ def test_verify_covering_window():
     assert not verify_covering(g, Covering(partition.matchings[:1]), 1, 2)  # misses edges
     with pytest.raises(ParameterError):
         verify_covering(g, partition, 2, 1)
+
+
+def test_covering_violations_text():
+    g = cycle(4)
+    partition = (Matching(frozenset({(0, 1), (2, 3)})), Matching(frozenset({(1, 2), (0, 3)})))
+    assert covering_violations(g, Covering(partition), 1, 2) == []
+    assert covering_violations(g, Covering(partition + (Matching(frozenset({(0, 2)})),)), 1, 2) == [
+        "matching 2 uses non-edges [(0, 2)]"
+    ]
+    assert covering_violations(g, Covering(partition), 3, 3) == [
+        "matching 0 has size 2 outside [3, 3]",
+        "matching 1 has size 2 outside [3, 3]",
+    ]
+    assert covering_violations(g, Covering(partition[:1]), 1, 2) == ["edges not covered: [(0, 3), (1, 2)]"]
+    assert covering_violations(g, Covering((Matching(frozenset({(0, 2), (1, 3)})),)), 1, 1) == [
+        "matching 0 uses non-edges [(0, 2), (1, 3)]",
+        "matching 0 has size 2 outside [1, 1]",
+        "edges not covered: [(0, 1), (0, 3), (1, 2), (2, 3)]",
+    ]
+
+
+# sha256 over one JSON line [value, rule, witness] per graph, window and
+# route below; a change that keeps every witness keeps it
+WITNESS_SHA256 = "a19b230ed481a2edea904998e2f470f696682157679dc21c0dea10160b41c76d"
+
+
+def test_witnesses_of_larger_graphs_keep_their_hash():
+    # equalize swaps many edges into empty classes on these graphs, which the
+    # digest's small graphs rarely need
+    digest = hashlib.sha256()
+    for g in (path(40), cycle(31), complete(9), petersen(), star(12)):
+        for l in range(1, 5):
+            for m in range(l, 5):
+                for route in (excessive_lm_index, exc_algorithm):
+                    r = route(g, l, m)
+                    witness = None if r.witness is None else covering_to_json(r.witness)
+                    digest.update(json.dumps([r.value, r.rule, witness]).encode() + b"\n")
+    assert digest.hexdigest() == WITNESS_SHA256
 
 
 def test_index_result_consistency_checks():

@@ -164,6 +164,54 @@ def test_matching_rejects_shared_vertex():
         Matching(frozenset({(0, 1), (1, 2)}))
 
 
+def test_matching_stores_canonical_edges_from_any_input():
+    canonical = frozenset({(0, 1), (2, 3)})
+    for edges in (
+        {(0, 1), (2, 3)},
+        [(0, 1), (2, 3)],
+        [(1, 0), (3, 2)],
+        frozenset({(1, 0), (2, 3)}),
+        frozenset({frozenset({0, 1}), frozenset({2, 3})}),
+        canonical,
+    ):
+        stored = Matching(edges).edges
+        assert type(stored) is frozenset and stored == canonical
+        assert all(type(e) is tuple for e in stored)
+
+
+def test_edge_set_errors_keep_their_messages():
+    for edges, message in (
+        ({(1, 1)}, "loop edge at vertex 1"),
+        (frozenset({(1, 1)}), "loop edge at vertex 1"),
+        ([(-1, 2)], "negative vertex in edge (-1, 2)"),
+        (frozenset({(2, -1)}), "negative vertex in edge (2, -1)"),
+        (frozenset({(0, 1), (1, 2)}), "edges of a matching must be vertex-disjoint"),
+        ([(1, 0), (2, 1)], "edges of a matching must be vertex-disjoint"),
+    ):
+        with pytest.raises(PreconditionError) as info:
+            Matching(edges)
+        assert str(info.value) == message
+    for n, edges, message in (
+        (-1, {(1, 1)}, "vertex_count must be nonnegative"),
+        (2, frozenset({(3, 3)}), "loop edge at vertex 3"),
+        (2, {(-1, 0)}, "negative vertex in edge (-1, 0)"),
+        (2, frozenset({(0, 5)}), "edge endpoint 5 outside vertex range 0..1"),
+        (2, [(5, 0)], "edge endpoint 5 outside vertex range 0..1"),
+    ):
+        with pytest.raises(PreconditionError) as info:
+            SimpleGraph(n, edges)
+        assert str(info.value) == message
+
+
+def test_canonical_edge_sets_are_kept_as_given():
+    # pins the canonical-input fast path: fails on the code before it, which
+    # stored an equal rebuilt copy
+    edges = frozenset({(0, 1), (2, 3)})
+    assert Matching(edges).edges is edges
+    assert SimpleGraph(4, edges).edges is edges
+    assert Matching(frozenset({(1, 0)})).edges == frozenset({(0, 1)})
+
+
 def test_covering_equality_is_multiset():
     a = Matching(frozenset({(0, 1)}))
     b = Matching(frozenset({(2, 3)}))
