@@ -35,7 +35,6 @@ from excfact import (
     optimal_m_bounded_coloring,
 )
 from excfact.analysis import coherence_report_to_json, compatibility_report_to_json
-from excfact.coloring import coloring_to_json
 from excfact.excessive import index_result_to_json
 from excfact.families import petersen
 from excfact.oracle import SweepConfig, _sweep_graphs, min_cover_bruteforce, random_graph
@@ -57,6 +56,10 @@ def _result(r) -> list:
     return [r.value, r.rule, None if r.witness is None else covering_to_json(r.witness)]
 
 
+def _bounded(c) -> dict:  # an m-bounded colouring's record: colour count and classes
+    return {"k": len(c), "classes": covering_to_json(c)["matchings"]}
+
+
 def _records(index: int, g) -> dict:
     windows = [(l, m) for l in range(1, MAX_M + 1) for m in range(l, MAX_M + 1)]
     record: dict = {
@@ -67,7 +70,7 @@ def _records(index: int, g) -> dict:
         "exc": [_result(exc_algorithm(g, l, m)) for l, m in windows],
         "json": [index_result_to_json(g, l, m, excessive_lm_index(g, l, m)) for l, m in windows],
         "bounded": [  # an edgeless graph has no m-bounded colouring
-            coloring_to_json(optimal_m_bounded_coloring(g, m)) for m in range(1, MAX_M + 1)
+            _bounded(optimal_m_bounded_coloring(g, m)) for m in range(1, MAX_M + 1)
         ] if g.edges else None,
         "coherence": [coherence_report_to_json(coherence_report(g, l, m)) for l, m in windows],
         "compat": compatibility_report_to_json(compatibility_report(g, MAX_M)),

@@ -17,7 +17,6 @@ _HOME = {
     "CompatibilityReport": "analysis",
     "Covering": "graphs",
     "Edge": "graphs",
-    "EdgeColoring": "coloring",
     "EnumerationCapError": "errors",
     "FormatError": "errors",
     "INFINITY": "excessive",

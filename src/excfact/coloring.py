@@ -1,63 +1,24 @@
 """Proper edge colourings: exact chromatic index, k-colouring search, and
 class-size equalization.
 
-A colouring of a simple graph is represented by its colour classes: a tuple
-of ``k`` edge sets.  Each class must be a matching of the graph and every
-edge must lie in at least one class.  An edge in ``t`` classes stands for
-``t`` parallel instances with distinct colours, so an edge's multiplicity is
-its class count and instance identity never needs to be tracked.
+A colouring of a simple graph is a :class:`Covering` whose matchings are its
+colour classes, in colour order: ``k`` matchings whose union is the edge set.
+An edge in ``t`` classes stands for ``t`` parallel instances with distinct
+colours, so an edge's multiplicity is its class count and instance identity
+never needs to be tracked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import ceil
 from typing import Callable
 
 from .budget import check_budget
-from .errors import InvariantError, ParameterError, PreconditionError
-from .graphs import Covering, Edge, Matching, SimpleGraph, _Value
+from .errors import InvariantError, ParameterError
+from .graphs import Covering, Edge, Matching, SimpleGraph
 from .matching import maximum_matching
-
-
-class EdgeColoring(_Value):
-    # no __slots__: cached_property keeps ``covering`` in the instance __dict__
-    _fields = ("graph", "classes")
-
-    def __init__(self, graph: SimpleGraph, classes: tuple[frozenset[Edge], ...]) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "classes", classes)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        classes = tuple(frozenset(c) for c in self.classes)
-        object.__setattr__(self, "classes", classes)
-        edges = self.graph.edges
-        for cls in classes:
-            if not cls <= edges:
-                raise PreconditionError(f"colour class uses non-edge {min(cls - edges)}")
-            if len({x for e in cls for x in e}) != 2 * len(cls):
-                raise PreconditionError("a colour class must be a matching")
-        if frozenset().union(*classes) != edges:
-            raise PreconditionError("every edge must lie in some colour class")
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-    def class_sizes(self) -> list[int]:
-        return [len(c) for c in self.classes]
-
-    @cached_property
-    def covering(self) -> Covering:
-        """The colour classes as matchings: the covering of the graph that
-        this colouring induces, built once per colouring."""
-        return Covering(tuple(Matching(c) for c in self.classes))
-
-
-def coloring_to_json(c: EdgeColoring) -> dict:
-    return {"k": c.k, "classes": [[list(e) for e in sorted(cls)] for cls in c.classes]}
 
 
 def _color_in_order(
@@ -118,7 +79,7 @@ def _color_in_order(
     return tuple(frozenset(cls) for cls in found)
 
 
-def find_k_edge_coloring(g: SimpleGraph, k: int) -> EdgeColoring | None:
+def find_k_edge_coloring(g: SimpleGraph, k: int) -> Covering | None:
     """First (lexicographically smallest) proper k-edge colouring, or None.
 
     Edges are coloured in sorted order, lowest feasible colour first.  One
@@ -133,7 +94,12 @@ def find_k_edge_coloring(g: SimpleGraph, k: int) -> EdgeColoring | None:
     if k * len(maximum_matching(g)) < g.edge_count:
         return None
     classes = _color_in_order(g.sorted_edges(), g.vertex_count, k)
-    return None if classes is None else EdgeColoring(g, classes)
+    if classes is None:
+        return None
+    # one comparison: no class holds a non-edge and every edge is coloured
+    if frozenset().union(*classes) != g.edges:
+        raise InvariantError("the colour classes do not cover exactly the edge set")
+    return Covering(tuple(Matching(cls) for cls in classes))
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +147,7 @@ def _surplus_path(a_edges: set[Edge], b_edges: set[Edge]) -> tuple[set[Edge], se
     return None
 
 
-def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
+def equalize(c: Covering, trace: list[int] | None = None) -> Covering:
     """Rebalance a valid colouring until all class sizes differ by at most one.
 
     While some class exceeds another by two or more, the union of the two
@@ -194,10 +160,11 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
     Every edge keeps its class count, which is checked.  A colouring that
     is balanced already is returned itself.
     """
-    sizes = c.class_sizes()
+    sizes = [len(cls) for cls in c.matchings]
     if len(sizes) <= 1 or max(sizes) - min(sizes) <= 1:
         return c
-    classes = [set(cls) for cls in c.classes]
+    total = sum(sizes)
+    classes = [set(cls.edges) for cls in c.matchings]
     counts = Counter(e for cls in classes for e in cls)
     while True:
         sizes = [len(cls) for cls in classes]
@@ -217,18 +184,16 @@ def equalize(c: EdgeColoring, trace: list[int] | None = None) -> EdgeColoring:
         classes[b] = (classes[b] - comp_b) | comp_a
         if trace is not None:
             trace.append(sum(len(cls) ** 2 for cls in classes))
-    result = EdgeColoring(c.graph, tuple(frozenset(cls) for cls in classes))
-    if Counter(e for cls in result.classes for e in cls) != counts:
+    if Counter(e for cls in classes for e in cls) != counts:
         raise InvariantError("equalizing changed the class count of an edge")
-    total = sum(c.class_sizes())
     k = len(classes)
-    if not all(total // k <= s <= ceil(total / k) for s in result.class_sizes()):
+    if not all(total // k <= len(cls) <= ceil(total / k) for cls in classes):
         raise InvariantError("equalized class sizes differ by more than one")
-    return result
+    return Covering(tuple(Matching(frozenset(cls)) for cls in classes))
 
 
 @lru_cache(maxsize=None)
-def _equalized_coloring(g: SimpleGraph, k: int) -> EdgeColoring | None:
+def _equalized_coloring(g: SimpleGraph, k: int) -> Covering | None:
     """The equalized k-edge-colouring of ``g``, or None when ``g`` has no
     k-colouring: the one place a simple graph is coloured.  The chromatic
     index is read from it at the maximum degree, and more colours always
@@ -242,7 +207,7 @@ def _equalized_coloring(g: SimpleGraph, k: int) -> EdgeColoring | None:
     return equalize(found)
 
 
-def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:
+def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> Covering:
     """Edge colouring with the fewest colours subject to class sizes <= m.
 
     ``max(chromatic_index(g), ceil(|E|/m))`` colours are always enough: the
@@ -256,6 +221,6 @@ def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> EdgeColoring:
         raise ParameterError("graph has no edges")
     k = max(chromatic_index(g), ceil(g.edge_count / m))
     colouring = _equalized_coloring(g, k)  # k >= chi', so it exists
-    if max(colouring.class_sizes()) > m:
+    if max(len(cls) for cls in colouring.matchings) > m:
         raise InvariantError(f"no {k}-colouring with classes of size at most {m}")
     return colouring

@@ -17,13 +17,13 @@ from functools import lru_cache
 from math import ceil
 
 from .coloring import (
-    EdgeColoring,
     _color_in_order,
     _equalized_coloring,
     chromatic_index,
     equalize,
+    optimal_m_bounded_coloring,
 )
-from .errors import InvariantError, ParameterError
+from .errors import InvariantError, ParameterError, PreconditionError
 from .graphs import (
     Covering,
     Edge,
@@ -60,12 +60,12 @@ class IndexResult(_Value):
 
     def __post_init__(self) -> None:
         if self.rule not in _RULES:
-            raise ValueError(f"unknown rule tag {self.rule!r}")
+            raise PreconditionError(f"unknown rule tag {self.rule!r}")
         infinite = math.isinf(self.value)
         if infinite != (self.witness is None) or infinite != (self.rule == RULE_NOT_COVERABLE):
-            raise ValueError("infinite value, absent witness, and NOT_COVERABLE must coincide")
+            raise PreconditionError("infinite value, absent witness, and NOT_COVERABLE must coincide")
         if not infinite and len(self.witness) != self.value:
-            raise ValueError("witness cardinality must equal the index value")
+            raise PreconditionError("witness cardinality must equal the index value")
 
     @property
     def finite(self) -> bool:
@@ -117,15 +117,15 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     psi = _equalized_coloring(g, chi)
     if t and k <= chi:
         raise InvariantError("padding is only ever needed when a fresh colour exists")
-    donor = sorted(psi.classes[0])
+    donor = psi.matchings[0].sorted_edges()
     if not len(donor) >= m > t:
         raise InvariantError("the first class cannot donate the padding edges")
-    padding = (frozenset(donor[:t]),) if t else ()
-    classes = psi.classes + padding + tuple(frozenset() for _ in range(k - chi - len(padding)))
-    balanced = equalize(EdgeColoring(g, classes))
-    if any(size != m for size in balanced.class_sizes()):
+    padding = (Matching(frozenset(donor[:t])),) if t else ()
+    classes = psi.matchings + padding + tuple(Matching() for _ in range(k - chi - len(padding)))
+    balanced = equalize(Covering(classes))
+    if any(len(cls) != m for cls in balanced.matchings):
         raise InvariantError("padded colouring did not equalize to size m")
-    return balanced.covering
+    return balanced
 
 
 def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
@@ -194,7 +194,7 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
             raise InvariantError("[m]-index disagrees with ceil(|E|/m)")
         result = IndexResult(value, base.witness, RULE_FORMULA_CEIL)
     elif l * chi <= edge_total:
-        witness = _equalized_coloring(g, chi).covering
+        witness = _equalized_coloring(g, chi)
         if edge_total == l * chi and excessive_m_index(g, l).value != chi:  # overlap with the fixed-size branch
             raise InvariantError("chromatic-index branch disagrees with the [l]-index")
         result = IndexResult(chi, witness, RULE_FORMULA_CHI)
@@ -211,12 +211,13 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
 
     Compare the optimal numbers of colours for 1..l-bounded and 1..m-bounded
     colourings, ``max(chi', ceil(|E|/l))`` and ``max(chi', ceil(|E|/m))``.
-    If the m-bounded one is strictly smaller, the equalized colouring with
-    that many colours yields a covering whose sizes already land in [l, m];
-    otherwise the answer equals the excessive [l]-index.  The colouring comes
-    from the (graph, k) memo that :func:`excessive_lm_index` also reads; this
-    route's independence lies in its case analysis, which shares nothing with
-    the closed form, so agreement between the two cross-validates the split.
+    If the m-bounded one is strictly smaller, the optimal m-bounded
+    colouring, the equalized colouring with that many colours, is a covering
+    whose sizes already land in [l, m]; otherwise the answer equals the
+    excessive [l]-index.  The colouring comes from the (graph, k) memo that
+    :func:`excessive_lm_index` also reads; this route's independence lies in
+    its case analysis, which shares nothing with the closed form, so
+    agreement between the two cross-validates the split.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
@@ -227,7 +228,7 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     bounded_l = max(chi, ceil(edge_total / l))
     bounded_m = max(chi, ceil(edge_total / m))
     if bounded_m < bounded_l:
-        witness = _equalized_coloring(g, bounded_m).covering
+        witness = optimal_m_bounded_coloring(g, m)
         rule = RULE_FORMULA_CEIL if ceil(edge_total / m) > chi else RULE_FORMULA_CHI
         result = IndexResult(bounded_m, witness, rule)
     else:

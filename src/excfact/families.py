@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .errors import ParameterError
 from .graphs import SimpleGraph
 
 
@@ -17,7 +18,7 @@ def path(n: int) -> SimpleGraph:
 
 def cycle(n: int) -> SimpleGraph:
     if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+        raise ParameterError("a cycle needs at least 3 vertices")
     return SimpleGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 

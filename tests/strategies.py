@@ -8,8 +8,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from excfact.coloring import EdgeColoring
-from excfact.graphs import SimpleGraph
+from excfact.graphs import Covering, Matching, SimpleGraph
 
 
 @st.composite
@@ -30,12 +29,11 @@ def nonempty_graphs(draw, max_vertices: int = 8) -> SimpleGraph:
     return SimpleGraph(n, frozenset(edges))
 
 
-def random_valid_coloring(rng: random.Random, max_vertices: int = 12) -> EdgeColoring:
+def random_valid_coloring(rng: random.Random, max_vertices: int = 12) -> Covering:
     """A random valid colouring in which an edge lies in up to 3 classes.
 
     The instance is built colouring-first: random matchings become the colour
-    classes and the graph is the union of the classes, so validity holds by
-    construction.
+    classes, so it is a colouring of the graph that is their union.
     """
     n = rng.randint(2, max_vertices)
     k = rng.randint(1, 6)
@@ -57,5 +55,4 @@ def random_valid_coloring(rng: random.Random, max_vertices: int = 12) -> EdgeCol
             if e in cls:
                 cls.remove(e)
                 surplus -= 1
-    graph = SimpleGraph(n, frozenset().union(*classes))
-    return EdgeColoring(graph, tuple(frozenset(cls) for cls in classes))
+    return Covering(tuple(Matching(frozenset(cls)) for cls in classes))

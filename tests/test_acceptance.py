@@ -127,18 +127,20 @@ def test_criterion_05_equalizer_postconditions():
     rng = random.Random(20240607)
     for case in range(500):
         colouring = random_valid_coloring(rng, max_vertices=12)
-        total, k = sum(colouring.class_sizes()), colouring.k
+        sizes = [len(cls) for cls in colouring]
+        total, k = sum(sizes), len(colouring)
         trace: list[int] = []
         balanced = equalize(colouring, trace=trace)
         lo, hi = total // k, math.ceil(total / k)
-        if balanced.k != k or balanced.graph != colouring.graph:
-            failures.append(f"case {case}: graph or colour count changed")
-        if not all(lo <= s <= hi for s in balanced.class_sizes()):
-            failures.append(f"case {case}: sizes {balanced.class_sizes()} outside [{lo}, {hi}]")
-        merged = Counter(e for cls in balanced.classes for e in cls)
-        if merged != Counter(e for cls in colouring.classes for e in cls):
+        balanced_sizes = [len(cls) for cls in balanced]
+        if len(balanced) != k:
+            failures.append(f"case {case}: colour count changed")
+        if not all(lo <= s <= hi for s in balanced_sizes):
+            failures.append(f"case {case}: sizes {balanced_sizes} outside [{lo}, {hi}]")
+        merged = Counter(e for cls in balanced for e in cls.edges)
+        if merged != Counter(e for cls in colouring for e in cls.edges):
             failures.append(f"case {case}: edge multiset changed")
-        steps = [sum(s * s for s in colouring.class_sizes())] + trace
+        steps = [sum(s * s for s in sizes)] + trace
         if not all(a > b for a, b in zip(steps, steps[1:])):
             failures.append(f"case {case}: squared-size measure did not strictly decrease")
     _report(5, "equalizer on 500 random instances", failures, time.monotonic() - start, budget=60.0)
@@ -153,9 +155,9 @@ def test_criterion_06_optimal_bounded_coloring_exact():
         for m in range(1, 6):
             colouring = optimal_m_bounded_coloring(g, m)
             expected = max(chromatic_index(g), math.ceil(g.edge_count / m))
-            if colouring.k != expected:
-                failures.append(f"{g} m={m}: used {colouring.k} colours, expected {expected}")
-            if max(colouring.class_sizes()) > m:
+            if len(colouring) != expected:
+                failures.append(f"{g} m={m}: used {len(colouring)} colours, expected {expected}")
+            if max(len(cls) for cls in colouring) > m:
                 failures.append(f"{g} m={m}: class larger than {m}")
     _report(6, "optimal size-bounded colouring", failures, time.monotonic() - start, budget=60.0)
 

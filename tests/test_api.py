@@ -17,7 +17,6 @@ PUBLIC = [
     "CompatibilityReport",
     "Covering",
     "Edge",
-    "EdgeColoring",
     "EnumerationCapError",
     "FormatError",
     "INFINITY",

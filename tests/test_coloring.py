@@ -7,6 +7,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given
 
 from excfact import (
     Covering,
@@ -16,16 +17,27 @@ from excfact import (
     PreconditionError,
     SimpleGraph,
     chromatic_index,
+    covering_to_json,
     equalize,
     find_k_edge_coloring,
     optimal_m_bounded_coloring,
     verify_covering,
 )
-from excfact.coloring import EdgeColoring, _surplus_path
+from excfact import coloring as coloring_module
+from excfact.coloring import _surplus_path
+from excfact.excessive import covering_violations
 from excfact.families import complete, cycle, empty, path, star
 from excfact.oracle import enumerate_labeled_graphs
 from oracles import all_matchings, chromatic_index_bruteforce
-from strategies import random_valid_coloring
+from strategies import random_valid_coloring, simple_graphs
+
+
+def _sizes(colouring: Covering) -> list[int]:
+    return [len(cls) for cls in colouring]
+
+
+def _colouring(*classes) -> Covering:
+    return Covering(tuple(Matching(frozenset(cls)) for cls in classes))
 
 
 def test_chromatic_index_named_graphs(petersen_graph):
@@ -51,34 +63,57 @@ def test_find_coloring_below_degree_fails():
 def test_petersen_is_class_two(petersen_graph):
     assert find_k_edge_coloring(petersen_graph, 3) is None
     found = find_k_edge_coloring(petersen_graph, 4)
-    assert found is not None and found.k == 4
-    assert find_k_edge_coloring(petersen_graph, 4) == found  # deterministic
+    assert found is not None and len(found) == 4
+    # deterministic, colour order included (Covering equality ignores order)
+    assert covering_to_json(find_k_edge_coloring(petersen_graph, 4)) == covering_to_json(found)
 
 
 def test_coloring_type_rejects_adjacent_same_colour():
-    h = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
+    # a colour class is a Matching, so two adjacent edges never share a colour
     with pytest.raises(PreconditionError):
-        EdgeColoring(h, (frozenset({(0, 1), (1, 2)}),))
-    with pytest.raises(PreconditionError):
-        EdgeColoring(h, (frozenset({(0, 1)}),))  # (1,2) never coloured
-    with pytest.raises(PreconditionError):
-        EdgeColoring(h, (frozenset({(0, 1)}), frozenset({(1, 2)}), frozenset({(0, 2)})))  # not an edge
+        _colouring({(0, 1), (1, 2)})
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda classes: (classes[0] - {min(classes[0])},) + classes[1:],  # an edge never coloured
+        lambda classes: classes[:1] + (classes[1] | {(0, 3)},) + classes[2:],  # a non-edge coloured
+    ],
+    ids=["uncoloured-edge", "non-edge"],
+)
+def test_find_k_edge_coloring_checks_its_classes_are_the_edge_set(monkeypatch, corrupt):
+    real = coloring_module._color_in_order
+    monkeypatch.setattr(coloring_module, "_color_in_order", lambda *args: corrupt(real(*args)))
+    with pytest.raises(InvariantError, match="edge set"):
+        find_k_edge_coloring(path(4), 2)
+
+
+@given(simple_graphs(max_vertices=7))
+def test_found_colourings_cover_the_graph_by_matchings(g):
+    d = g.max_degree()
+    for k in (d, d + 1):
+        found = find_k_edge_coloring(g, k)
+        if found is None:  # only a class-two graph lacks a colouring at its maximum degree
+            assert k == d and chromatic_index(g) == d + 1
+            continue
+        assert len(found) == k
+        assert covering_violations(g, found, 0, g.edge_count) == []
 
 
 def test_equalize_checks_every_edge_keeps_its_class_count(monkeypatch):
     # a broken swap that copies (0,1) into the small class instead of moving it
     g = SimpleGraph(4, frozenset({(0, 1), (2, 3)}))
-    colouring = EdgeColoring(g, (g.edges, frozenset()))
+    colouring = _colouring(g.edges, ())
     monkeypatch.setattr("excfact.coloring._surplus_path", lambda a, b: ({(0, 1)}, {(0, 1)}))
     with pytest.raises(InvariantError, match="class count"):
         equalize(colouring)
 
 
 def test_equalize_fixed_point():
-    h = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
-    colouring = EdgeColoring(h, (frozenset({(0, 1)}), frozenset({(1, 2)})))
+    colouring = _colouring({(0, 1)}, {(1, 2)})
     assert equalize(colouring) == colouring
-    uneven = EdgeColoring(SimpleGraph(4, h.edges | {(2, 3)}), (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2)})))
+    uneven = _colouring({(0, 1), (2, 3)}, {(1, 2)})
     trace: list[int] = []
     assert equalize(uneven, trace=trace) == uneven
     assert trace == []
@@ -87,8 +122,7 @@ def test_equalize_fixed_point():
 def test_equalize_returns_a_balanced_colouring_itself():
     # pins the balanced-input fast path: fails on the code before it, which
     # returned an equal rebuilt copy
-    h = SimpleGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
-    colouring = EdgeColoring(h, (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2)})))
+    colouring = _colouring({(0, 1), (2, 3)}, {(1, 2)})
     assert equalize(colouring) is colouring
 
 
@@ -101,24 +135,23 @@ def test_surplus_path_into_an_empty_class_is_the_smallest_edge():
 def test_equalize_balances_a_star_colouring():
     # path of 4 edges coloured alternately with colours {1, 2} then colour 2
     # emptied into colour 3 by hand: sizes (2, 2, 0) must become (2, 1, 1)
-    g = SimpleGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
-    skewed = EdgeColoring(g, (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2), (3, 4)}), frozenset()))
+    skewed = _colouring({(0, 1), (2, 3)}, {(1, 2), (3, 4)}, ())
     trace: list[int] = []
     balanced = equalize(skewed, trace=trace)
-    assert sorted(balanced.class_sizes()) == [1, 1, 2]
-    before = sum(s * s for s in skewed.class_sizes())
+    assert sorted(_sizes(balanced)) == [1, 1, 2]
+    before = sum(s * s for s in _sizes(skewed))
     assert trace and all(a > b for a, b in zip([before] + trace, trace))
 
 
 def test_equalized_coloring_sizes():
-    assert sorted(equalize(find_k_edge_coloring(cycle(4), 2)).class_sizes()) == [2, 2]
-    assert sorted(equalize(find_k_edge_coloring(cycle(4), 3)).class_sizes()) == [1, 1, 2]
+    assert sorted(_sizes(equalize(find_k_edge_coloring(cycle(4), 2)))) == [2, 2]
+    assert sorted(_sizes(equalize(find_k_edge_coloring(cycle(4), 3)))) == [1, 1, 2]
     assert find_k_edge_coloring(cycle(5), 2) is None
 
 
 def test_equalized_petersen_four_colouring(petersen_graph):
     colouring = equalize(find_k_edge_coloring(petersen_graph, 4))
-    assert sorted(colouring.class_sizes()) == [3, 4, 4, 4]
+    assert sorted(_sizes(colouring)) == [3, 4, 4, 4]
 
 
 def test_equalize_induced_petersen_multigraph(petersen_graph):
@@ -133,13 +166,11 @@ def test_equalize_induced_petersen_multigraph(petersen_graph):
     )
     i, j, k = first_valid
     rest = Matching(petersen_graph.edges - perfect[i].edges - perfect[j].edges - perfect[k].edges)
-    covering = Covering((perfect[i], perfect[j], perfect[k], rest))
-    colouring = EdgeColoring(petersen_graph, tuple(m.edges for m in covering))  # the matchings are its classes
-    assert sum(colouring.class_sizes()) == 18
+    colouring = Covering((perfect[i], perfect[j], perfect[k], rest))  # the matchings are its classes
+    assert sum(_sizes(colouring)) == 18
     balanced = equalize(colouring)
-    assert sorted(balanced.class_sizes()) == [4, 4, 5, 5]
-    projected = balanced.covering
-    assert verify_covering(petersen_graph, projected, 4, 5)
+    assert sorted(_sizes(balanced)) == [4, 4, 5, 5]
+    assert verify_covering(petersen_graph, balanced, 4, 5)
 
 
 def _is_matching(edges) -> bool:
@@ -154,25 +185,25 @@ def test_equalize_random_instances():
     rng = random.Random(2024)
     for _ in range(120):
         colouring = random_valid_coloring(rng)
-        total, k = sum(colouring.class_sizes()), colouring.k
+        total, k = sum(_sizes(colouring)), len(colouring)
         trace: list[int] = []
         balanced = equalize(colouring, trace=trace)
-        assert balanced.graph == colouring.graph and balanced.k == k
+        assert len(balanced) == k
         lo, hi = total // k, -(-total // k)
-        assert all(lo <= s <= hi for s in balanced.class_sizes())
-        start = sum(s * s for s in colouring.class_sizes())
+        assert all(lo <= s <= hi for s in _sizes(balanced))
+        start = sum(s * s for s in _sizes(colouring))
         assert all(a > b for a, b in zip([start] + trace, trace))
-        merged = Counter(e for cls in balanced.classes for e in cls)
-        assert merged == Counter(e for cls in colouring.classes for e in cls)
+        merged = Counter(e for cls in balanced for e in cls.edges)
+        assert merged == Counter(e for cls in colouring for e in cls.edges)
 
 
 def test_optimal_m_bounded_basics(petersen_graph):
     colouring = optimal_m_bounded_coloring(star(3), 1)
-    assert colouring.k == 3 and colouring.class_sizes() == [1, 1, 1]
+    assert _sizes(colouring) == [1, 1, 1]
     colouring = optimal_m_bounded_coloring(petersen_graph, 5)
-    assert colouring.k == 4 and sorted(colouring.class_sizes()) == [3, 4, 4, 4]
+    assert sorted(_sizes(colouring)) == [3, 4, 4, 4]
     colouring = optimal_m_bounded_coloring(petersen_graph, 3)
-    assert colouring.k == 5 and colouring.class_sizes() == [3, 3, 3, 3, 3]
+    assert _sizes(colouring) == [3, 3, 3, 3, 3]
     with pytest.raises(ParameterError):
         optimal_m_bounded_coloring(empty(2), 1)
     with pytest.raises(ParameterError):
@@ -180,12 +211,10 @@ def test_optimal_m_bounded_basics(petersen_graph):
 
 
 def test_coloring_json_is_canonical(petersen_graph):
-    from excfact.coloring import coloring_to_json
-
     colouring = equalize(find_k_edge_coloring(petersen_graph, 4))
-    blob = coloring_to_json(colouring)
-    assert blob["k"] == 4 and len(blob["classes"]) == 4
-    for cls in blob["classes"]:
+    blob = covering_to_json(colouring)
+    assert len(blob["matchings"]) == 4
+    for cls in blob["matchings"]:
         assert cls == sorted(cls)
         assert all(u < v for u, v in cls)
 
@@ -198,8 +227,8 @@ def test_optimal_m_bounded_uses_exact_colour_count():
             for m in range(1, 5):
                 colouring = optimal_m_bounded_coloring(g, m)
                 expected = max(chromatic_index(g), -(-g.edge_count // m))
-                assert colouring.k == expected
-                assert max(colouring.class_sizes()) <= m
+                assert len(colouring) == expected
+                assert max(_sizes(colouring)) <= m
 
 
 def test_search_depth_is_not_bounded_by_the_interpreter_stack():
@@ -207,5 +236,5 @@ def test_search_depth_is_not_bounded_by_the_interpreter_stack():
     assert chromatic_index(path(3000)) == 2
     assert chromatic_index(cycle(1001)) == 3
     colouring = find_k_edge_coloring(path(3000), 2)
-    assert colouring is not None and colouring.graph == path(3000) and colouring.k == 2
-    assert sorted(colouring.class_sizes()) == [1499, 1500]
+    assert colouring is not None and verify_covering(path(3000), colouring, 1499, 1500)
+    assert sorted(_sizes(colouring)) == [1499, 1500]

@@ -18,6 +18,7 @@ from excfact import (
     Matching,
     InvariantError,
     ParameterError,
+    PreconditionError,
     SimpleGraph,
     chromatic_index,
     coherence_report,
@@ -114,12 +115,13 @@ def test_witnesses_of_larger_graphs_keep_their_hash():
 
 
 def test_index_result_consistency_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as infinite:
         IndexResult(INFINITY, Covering(()), RULE_NOT_COVERABLE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as cardinality:
         IndexResult(2, Covering(()), RULE_SEARCH)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as rule:
         IndexResult(1, Covering((Matching(frozenset({(0, 1)})),)), "BOGUS")
+    assert infinite.type is cardinality.type is rule.type is PreconditionError
 
 
 def test_m_index_petersen_values(petersen_graph):
@@ -193,6 +195,13 @@ def test_lm_index_petersen(petersen_graph):
     assert all(len(m) in (4, 5) for m in result.witness)
     middle = excessive_lm_index(petersen_graph, 3, 5)
     assert middle.value == 4 and middle.rule == RULE_FORMULA_CHI
+
+
+def test_chromatic_index_branch_witness_is_the_memoised_colouring(petersen_graph):
+    # the equalized chi'-colouring is the witness itself, not a copy of it
+    result = excessive_lm_index(petersen_graph, 3, 5)
+    assert result.rule == RULE_FORMULA_CHI
+    assert result.witness is coloring_module._equalized_coloring(petersen_graph, 4)
 
 
 def test_lm_index_equals_m_index_on_diagonal(petersen_graph):
@@ -404,8 +413,9 @@ def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
                 if not _takes_m_bounded_branch(g, l, m):
                     continue
                 result = exc_algorithm(g, l, m)
-                expected = optimal_m_bounded_coloring(g, m).covering
+                expected = optimal_m_bounded_coloring(g, m)
                 assert covering_to_json(result.witness) == covering_to_json(expected), (g, l, m)
+                assert result.witness is expected, (g, l, m)
                 above_chi_seen.add(ceil(g.edge_count / m) > chromatic_index(g))
     assert above_chi_seen == {False, True}  # both k = chi' and k > chi' occur
 

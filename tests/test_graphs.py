@@ -12,17 +12,19 @@ from excfact import (
     Covering,
     FormatError,
     Matching,
+    ParameterError,
     PreconditionError,
     SimpleGraph,
     covering_from_json,
     covering_to_json,
     encode_graph6,
+    equalize,
     find_k_edge_coloring,
     format_edge_list,
     parse_edge_list,
     parse_graph6,
+    verify_covering,
 )
-from excfact.coloring import EdgeColoring
 from excfact.families import complete, cycle, petersen
 from excfact.oracle import enumerate_labeled_graphs
 from strategies import simple_graphs
@@ -159,6 +161,12 @@ def test_simple_graph_rejects_loops_and_range():
         SimpleGraph(2, frozenset({(0, 2)}))
 
 
+def test_cycle_needs_three_vertices():
+    with pytest.raises(ValueError) as caught:
+        cycle(2)
+    assert caught.type is ParameterError
+
+
 def test_matching_rejects_shared_vertex():
     with pytest.raises(PreconditionError):
         Matching(frozenset({(0, 1), (1, 2)}))
@@ -228,18 +236,20 @@ def test_induced_multigraph_size_is_sum_of_matching_sizes(petersen_graph):
 
 
 def test_coloring_covering_is_its_classes():
+    # a colouring is the Covering whose matchings are its classes, in colour order
     colouring = find_k_edge_coloring(cycle(4), 2)
-    covering = colouring.covering
-    assert covering is colouring.covering  # built once per colouring
-    assert len(covering) == 2
-    assert {frozenset(m.edges) for m in covering} == {frozenset(c) for c in colouring.classes}
+    assert type(colouring) is Covering
+    assert [m.sorted_edges() for m in colouring] == [[(0, 1), (2, 3)], [(0, 3), (1, 2)]]
 
 
 def test_coloring_covering_repeats_an_edge_in_two_classes():
-    colouring = EdgeColoring(SimpleGraph(2, {(0, 1)}), (frozenset({(0, 1)}), frozenset({(0, 1)})))
-    covering = colouring.covering
+    # an edge in two classes stands for two parallel instances: the covering
+    # holds its matching twice, and equalizing keeps both
     e = Matching(frozenset({(0, 1)}))
-    assert covering == Covering((e, e))
+    colouring = Covering((e, e))
+    assert len(colouring) == 2 and colouring != Covering((e,))
+    assert equalize(colouring) is colouring
+    assert verify_covering(SimpleGraph(2, {(0, 1)}), colouring, 1, 1)
 
 
 def test_covering_json_round_trip(petersen_graph):

@@ -1,5 +1,5 @@
 """The value types' contract: construction, equality, hash, repr,
-immutability, copying and validation, the same for all eight."""
+immutability, copying and validation, the same for all seven."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from excfact import (
     CoherenceReport,
     CompatibilityReport,
     Covering,
-    EdgeColoring,
     IndexResult,
     Matching,
     ParameterError,
@@ -22,7 +21,6 @@ from excfact import (
 from excfact.oracle import SweepConfig
 
 EDGE = frozenset({(0, 1)})
-PATH = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
 A, B = Matching(EDGE), Matching(frozenset({(1, 2)}))
 
 # (instance, an equal instance, an unequal one, field names in order, repr)
@@ -38,12 +36,6 @@ CASES = {
     "Covering": (
         Covering((A, B)), Covering((B, A)), Covering((A, A, B)), ("matchings",),
         "Covering(matchings=(Matching(edges=frozenset({(0, 1)})), Matching(edges=frozenset({(1, 2)}))))",
-    ),
-    "EdgeColoring": (
-        EdgeColoring(PATH, (EDGE, {(1, 2)})), EdgeColoring(PATH, [{(0, 1)}, frozenset({(1, 2)})]),
-        EdgeColoring(PATH, ({(1, 2)}, EDGE)), ("graph", "classes"),
-        "EdgeColoring(graph=SimpleGraph(vertex_count=3, edges=frozenset({(0, 1), (1, 2)})),"
-        " classes=(frozenset({(0, 1)}), frozenset({(1, 2)})))",
     ),
     "IndexResult": (
         IndexResult(1, Covering((A,)), "SEARCH"), IndexResult(1, Covering([A]), "SEARCH"),
@@ -70,7 +62,6 @@ CASES = {
 INVALID = {
     "SimpleGraph": (PreconditionError, lambda: SimpleGraph(2, {(0, 2)})),
     "Matching": (PreconditionError, lambda: Matching({(0, 1), (1, 2)})),
-    "EdgeColoring": (PreconditionError, lambda: EdgeColoring(PATH, (EDGE,))),
     "IndexResult": (ValueError, lambda: IndexResult(2, Covering((A,)), "SEARCH")),
     "SweepConfig": (ParameterError, lambda: SweepConfig(max_m=0)),
 }
