@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 from math import ceil
-from typing import Callable
+from typing import Callable, Iterator
 
 from .budget import check_budget
 from .errors import InvariantError, ParameterError
@@ -113,52 +114,43 @@ def chromatic_index(g: SimpleGraph) -> int:
     return d if _equalized_coloring(g, d) is not None else d + 1
 
 
-def _surplus_path(a_edges: set[Edge], b_edges: set[Edge]) -> tuple[set[Edge], set[Edge]] | None:
-    """The lexicographically smallest path component of the union of two
-    disjoint matchings with one more edge of ``a`` than of ``b``, as its
-    ``a`` and ``b`` edges, or None.
-
-    Components are edge-disjoint, so that is the first such component met
-    when the union is walked in sorted-edge order.
+def _surplus_paths(a_edges: set[Edge], b_edges: set[Edge]) -> Iterator[tuple[set[Edge], set[Edge]]]:
+    """Every path component of the union of two disjoint matchings with one
+    more edge of ``a`` than of ``b``, as its ``a`` and ``b`` edges: one walk
+    from each unvisited ``a`` edge in sorted order, over maps built once.
     """
-    if not b_edges:  # every edge of ``a`` is a surplus path on its own
-        return ({min(a_edges)}, set()) if a_edges else None
     at: tuple[dict[int, Edge], dict[int, Edge]] = ({}, {})  # vertex -> its edge in a, in b
     for side, edges in enumerate((a_edges, b_edges)):
         for e in edges:
             at[side][e[0]] = at[side][e[1]] = e
     visited: set[Edge] = set()
-    for first in sorted(a_edges | b_edges):
+    for first in sorted(a_edges):
         if first in visited:
             continue
         visited.add(first)
-        start_side = 0 if first in a_edges else 1
-        comp: tuple[set[Edge], set[Edge]] = (set(), set())
-        comp[start_side].add(first)
+        comp: tuple[set[Edge], set[Edge]] = ({first}, set())
         for vertex in first:  # walk away from ``first`` through each endpoint
-            side = 1 - start_side
+            side = 1
             while (e := at[side].get(vertex)) is not None and e not in visited:
                 visited.add(e)
                 comp[side].add(e)
                 vertex = e[0] if e[1] == vertex else e[1]
                 side = 1 - side
         if len(comp[0]) == len(comp[1]) + 1:
-            return comp
-    return None
+            yield comp
 
 
 def equalize(c: Covering, trace: list[int] | None = None) -> Covering:
     """Rebalance a valid colouring until all class sizes differ by at most one.
 
-    While some class exceeds another by two or more, the union of the two
-    classes (paths and even cycles) contains a path with a surplus of
-    larger-class edges; swapping the two colours along that path moves one
-    edge across.  Choices are deterministic: the most unbalanced pair of
-    classes with smallest colour indices, then the lexicographically
-    smallest qualifying path.  If ``trace`` is given, the sum of squared
-    class sizes is appended after every swap (it strictly decreases).
-    Every edge keeps its class count, which is checked.  A colouring that
-    is balanced already is returned itself.
+    While the first largest class exceeds the first smallest by two or more,
+    swapping the two colours along ``(hi - lo) // 2`` surplus paths of their
+    union (one walk, see :func:`_surplus_paths`) leaves the pair within one
+    edge; the choices are deterministic.  The budget is checked once per
+    pair.  If ``trace`` is given, the sum of squared class sizes is appended
+    after every pair (it strictly decreases).  Every edge keeps its class
+    count, which is checked.  A colouring that is balanced already is
+    returned itself.
     """
     sizes = [len(cls) for cls in c.matchings]
     if len(sizes) <= 1 or max(sizes) - min(sizes) <= 1:
@@ -166,22 +158,22 @@ def equalize(c: Covering, trace: list[int] | None = None) -> Covering:
     total = sum(sizes)
     classes = [set(cls.edges) for cls in c.matchings]
     counts = Counter(e for cls in classes for e in cls)
-    while True:
-        sizes = [len(cls) for cls in classes]
-        hi, lo = max(sizes), min(sizes)
-        if hi - lo <= 1:
-            break
-        a = sizes.index(hi)
-        b = sizes.index(lo)
+    while (hi := max(sizes)) - (lo := min(sizes)) > 1:
+        check_budget()
+        a, b = sizes.index(hi), sizes.index(lo)
         common = classes[a] & classes[b]
-        found = _surplus_path(classes[a] - common, classes[b] - common)
-        # imbalance >= 2 while cycles and balanced paths contribute zero
-        # surplus, so a surplus path must exist
-        if found is None:
+        d = (hi - lo) // 2
+        paths = list(islice(_surplus_paths(classes[a] - common, classes[b] - common), d))
+        # the union is paths and even cycles, and surplus paths outnumber
+        # deficit paths by hi - lo >= d
+        if len(paths) < d:
             raise InvariantError("no rebalancing path found in an unbalanced colouring")
-        comp_a, comp_b = found
-        classes[a] = (classes[a] - comp_a) | comp_b
-        classes[b] = (classes[b] - comp_b) | comp_a
+        for comp_a, comp_b in paths:
+            classes[a] -= comp_a
+            classes[a] |= comp_b
+            classes[b] -= comp_b
+            classes[b] |= comp_a
+        sizes[a], sizes[b] = hi - d, lo + d
         if trace is not None:
             trace.append(sum(len(cls) ** 2 for cls in classes))
     if Counter(e for cls in classes for e in cls) != counts:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 
 from excfact import (
+    BudgetExceededError,
     Covering,
     InvariantError,
     Matching,
@@ -24,7 +25,8 @@ from excfact import (
     verify_covering,
 )
 from excfact import coloring as coloring_module
-from excfact.coloring import _surplus_path
+from excfact.budget import time_budget
+from excfact.coloring import _surplus_paths
 from excfact.excessive import covering_violations
 from excfact.families import complete, cycle, empty, path, star
 from excfact.oracle import enumerate_labeled_graphs
@@ -105,7 +107,7 @@ def test_equalize_checks_every_edge_keeps_its_class_count(monkeypatch):
     # a broken swap that copies (0,1) into the small class instead of moving it
     g = SimpleGraph(4, frozenset({(0, 1), (2, 3)}))
     colouring = _colouring(g.edges, ())
-    monkeypatch.setattr("excfact.coloring._surplus_path", lambda a, b: ({(0, 1)}, {(0, 1)}))
+    monkeypatch.setattr("excfact.coloring._surplus_paths", lambda a, b: iter([({(0, 1)}, {(0, 1)})]))
     with pytest.raises(InvariantError, match="class count"):
         equalize(colouring)
 
@@ -126,10 +128,23 @@ def test_equalize_returns_a_balanced_colouring_itself():
     assert equalize(colouring) is colouring
 
 
-def test_surplus_path_into_an_empty_class_is_the_smallest_edge():
-    assert _surplus_path({(4, 5), (2, 3), (0, 6)}, set()) == ({(0, 6)}, set())
-    assert _surplus_path({(1, 2)}, set()) == ({(1, 2)}, set())
-    assert _surplus_path(set(), set()) is None
+def test_surplus_paths_walk_each_component_once():
+    # into an empty class every edge is a surplus path, in sorted order
+    assert list(_surplus_paths({(4, 5), (2, 3), (0, 6)}, set())) == [
+        ({(0, 6)}, set()), ({(2, 3)}, set()), ({(4, 5)}, set())
+    ]
+    assert list(_surplus_paths(set(), set())) == []
+    # an a-b-a path is one component, met from either of its a edges
+    assert list(_surplus_paths({(0, 1), (2, 3)}, {(1, 2)})) == [({(0, 1), (2, 3)}, {(1, 2)})]
+    # an even cycle has no surplus; the a-b path beside it is balanced
+    square = ({(0, 1), (2, 3)}, {(1, 2), (0, 3)})
+    assert list(_surplus_paths(square[0] | {(4, 5)}, square[1] | {(5, 6)})) == []
+
+
+def test_equalize_stops_on_the_budget():
+    skewed = _colouring([(2 * i, 2 * i + 1) for i in range(50)], ())
+    with time_budget(0), pytest.raises(BudgetExceededError):
+        equalize(skewed)
 
 
 def test_equalize_balances_a_star_colouring():

@@ -35,6 +35,7 @@ from excfact import (
 )
 from excfact import coloring as coloring_module
 from excfact.analysis import coherence_report_to_json
+from excfact.budget import time_budget
 from excfact import excessive as excessive_module
 from excfact.excessive import (
     RULE_FORMULA_CEIL,
@@ -96,8 +97,10 @@ def test_covering_violations_text():
 
 
 # sha256 over one JSON line [value, rule, witness] per graph, window and
-# route below; a change that keeps every witness keeps it
-WITNESS_SHA256 = "a19b230ed481a2edea904998e2f470f696682157679dc21c0dea10160b41c76d"
+# route below: it pins the witnesses that the equalizer's walk order gives.
+# A change that moves witnesses regenerates it and keeps the values line of
+# scripts/witness_digest.py
+WITNESS_SHA256 = "323e81aa9c38b43329a325eaf43e4ca276dd81f5275419b3f1cb926f50c96508"
 
 
 def test_witnesses_of_larger_graphs_keep_their_hash():
@@ -339,6 +342,19 @@ def test_deep_sparse_windows_do_not_recurse_per_edge():
     assert excessive_lm_index(cycle(1000), 1, 500).value == 2
     assert excessive_lm_index(path(1100), 1, 549).value == 3
     assert excessive_lm_index(grid, 1, 264).value == 5
+
+
+def test_ten_thousand_edge_windows_run_inside_the_budget():
+    """The equalizer swaps many paths per pair of classes, so both routes
+    build these ceiling witnesses in well under a second; an equalizer that
+    moves one edge per pass takes over 10 s here and exceeds the budget."""
+    for g, value in ((path(10_000), 2000), (cycle(10_001), 2001)):
+        with time_budget(5_000):
+            closed = excessive_lm_index(g, 1, 5)
+            routed = exc_algorithm(g, 1, 5)
+        assert closed.value == routed.value == value
+        assert verify_covering(g, closed.witness, 1, 5)
+        assert verify_covering(g, routed.witness, 1, 5)
 
 
 def test_result_json_shape(petersen_graph):
