@@ -8,6 +8,7 @@ library safe to memoise and to share between threads.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import Iterator
 
@@ -190,7 +191,7 @@ class Covering(_Value):
 # ---------------------------------------------------------------------------
 # text formats
 
-_MAX_VERTICES = 258047  # the most vertices encode_graph6 writes; edge lists are capped there too
+_MAX_VERTICES = 258047  # the largest 4-byte graph6 count; both readers and the encoder stop there
 
 
 def _decimal(token: str) -> int:
@@ -250,11 +251,16 @@ def format_edge_list(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# graph6: printable characters 63..126 carry 6 bits each; the vertex count
-# comes first, then the upper triangle of the adjacency matrix column by
-# column, zero-padded to a multiple of 6 bits.
+# graph6: printable characters 63..126 carry 6 bits each, most significant
+# first.  The vertex count comes first: one character up to 62, else "~" and
+# three more (the 4-byte form, up to _MAX_VERTICES); "~~" starts the 8-byte
+# form, which only larger counts need.  Then the payload, in which edge
+# (i, j) with i < j is bit j(j-1)/2 + i, zero-padded to a multiple of 6 bits.
 
 _G6_HEADER = ">>graph6<<"
+# the offsets of the set bits of each payload character, indexed by its code point
+_G6_SET_BITS = [()] * 63 + [tuple(k for k in range(6) if value & (32 >> k)) for value in range(64)]
+_G6_NONZERO_RUN = re.compile(rb"[^?]+")  # "?" carries no set bit
 
 
 def _g6_encode_count(n: int) -> str:
@@ -267,20 +273,11 @@ def _g6_encode_count(n: int) -> str:
 
 def encode_graph6(g: SimpleGraph) -> str:
     n = g.vertex_count
-    out = [_g6_encode_count(n)]
-    bits = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | (1 if (i, j) in g.edges else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + bits))
-                bits = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (bits << (6 - nbits))))
-    return "".join(out)
+    payload = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))  # "?" is the character of no set bit
+    for i, j in g.edges:
+        bit = j * (j - 1) // 2 + i
+        payload[bit // 6] += 32 >> (bit % 6)  # edges are distinct, so adding sets the bit
+    return _g6_encode_count(n) + payload.decode("ascii")
 
 
 def parse_graph6(text: str) -> SimpleGraph:
@@ -289,46 +286,36 @@ def parse_graph6(text: str) -> SimpleGraph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise FormatError("empty graph6 input")
-    values = []
-    for ch in s:
-        code = ord(ch) - 63
-        if not 0 <= code <= 63:
-            raise FormatError(f"invalid graph6 character {ch!r}")
-        values.append(code)
-    if values[0] != 63:
-        n = values[0]
-        payload = values[1:]
+    if not ("?" <= min(s) and max(s) <= "~"):
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        raise FormatError(f"invalid graph6 character {bad!r}")
+    data = s.encode("ascii")
+    if data[0] != 126:
+        n, payload = data[0] - 63, data[1:]
+    elif data[1:2] == b"~":
+        raise FormatError(f"graph6 8-byte vertex count exceeds the supported maximum {_MAX_VERTICES}")
+    elif len(data) < 4:
+        raise FormatError("truncated graph6 vertex count")
     else:
-        if len(values) >= 2 and values[1] == 63:
-            if len(values) < 8:
-                raise FormatError("truncated graph6 vertex count")
-            n = 0
-            for code in values[2:8]:
-                n = (n << 6) | code
-            payload = values[8:]
-        else:
-            if len(values) < 4:
-                raise FormatError("truncated graph6 vertex count")
-            n = (values[1] << 12) | (values[2] << 6) | values[3]
-            payload = values[4:]
+        n, payload = ((data[1] - 63) << 12) + ((data[2] - 63) << 6) + data[3] - 63, data[4:]
     total_bits = n * (n - 1) // 2
     needed = (total_bits + 5) // 6
     if len(payload) != needed:
         raise FormatError(
             f"graph6 payload has {len(payload)} characters, expected {needed} for {n} vertices"
         )
-    edges = set()
-    index = 0
-    for j in range(1, n):
-        for i in range(j):
-            group, offset = divmod(index, 6)
-            if (payload[group] >> (5 - offset)) & 1:
-                edges.add((i, j))
-            index += 1
-    if total_bits % 6:
-        pad = payload[-1] & ((1 << (6 - total_bits % 6)) - 1)
-        if pad:
-            raise FormatError("nonzero padding bits in graph6 payload")
+    if total_bits % 6 and (payload[-1] - 63) & ((1 << (6 - total_bits % 6)) - 1):
+        raise FormatError("nonzero padding bits in graph6 payload")
+    edges = []
+    j, column = 1, 0  # column j, the edges (0, j) .. (j - 1, j), starts at bit `column`
+    for run in _G6_NONZERO_RUN.finditer(payload):
+        for group, code in enumerate(run.group(), run.start()):
+            for offset in _G6_SET_BITS[code]:
+                bit = 6 * group + offset
+                while bit >= column + j:
+                    column += j
+                    j += 1
+                edges.append((bit - column, j))
     return SimpleGraph(n, frozenset(edges))
 
 

@@ -105,10 +105,8 @@ def min_cover_bruteforce(g: SimpleGraph, l: int, m: int, *, candidates: list[int
     covers at most one edge per vertex.  Only subtrees without a strictly
     smaller cover are pruned, and the incumbent changes only on a strictly
     smaller cover, so value and witness (matchings and their order) are the
-    ones the unpruned search in the same order returns.  So the result
-    depends only on ``g`` and the candidates: ``l`` and ``m`` enter only the
-    final verification and a bound that holds for every ``m`` at least the
-    largest candidate size.
+    ones the unpruned search in the same order returns: they depend only on
+    ``g`` and the candidates.
 
     Raises :class:`ParameterError` unless ``1 <= l <= m``, and
     :class:`InvariantError` if the witness fails verification.
@@ -233,25 +231,23 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
     filtered by size per window, which keeps each window's candidates in
     canonical order, and the pairwise route is the minimum of the closed
     form's [i,i+1] values, the expression ``lm_index_via_pairs`` evaluates.
-    Windows with equal candidate lists share one brute-force search, which is
-    exact: its result depends only on the graph and the candidates (see
-    :func:`min_cover_bruteforce`), and every candidate lies in each such
-    window, so the witness verified in the first of them covers them all.
-    No matching has more than nu edges, so for each l the windows [l, m]
-    with m >= nu all share one search.
+    The largest matching found has nu edges, so the windows with one key
+    ``(min(l, nu + 1), min(m, nu))`` have the same candidates, and they share
+    the brute-force search of the first of them, whose result depends only on
+    the graph and the candidates (see :func:`min_cover_bruteforce`).
     Returns one record per disagreement (expected: none); each route verifies its own witnesses.
     """
     records: list[dict] = []
     windows = [(l, m) for l in range(1, config.max_m + 1) for m in range(l, config.max_m + 1)]
     for g in _sweep_graphs(config):
         masks = _matching_masks(g.sorted_edges(), 1, config.max_m, 1_000_000)
-        sized = [(mask.bit_count(), mask) for mask in masks]
+        nu = max(map(int.bit_count, masks), default=0)
         formula = {(l, m): _excessive.excessive_lm_index(g, l, m).value for l, m in windows}
-        references: dict[tuple[int, ...], int | float] = {}
+        references: dict[tuple[int, int], int | float] = {}
         for l, m in windows:
-            candidates = [mask for size, mask in sized if l <= size <= m]
-            key = tuple(candidates)
+            key = (min(l, nu + 1), min(m, nu))
             if key not in references:
+                candidates = [mask for mask in masks if l <= mask.bit_count() <= m]
                 references[key] = min_cover_bruteforce(g, l, m, candidates=candidates).value
             reference = references[key]
             routes = [("formula", formula[l, m]), ("exc", _excessive.exc_algorithm(g, l, m).value)]

@@ -124,6 +124,19 @@ def test_analyze_requires_a_report(capsys, petersen_file):
     assert code == 1 and "nothing to do" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["index", "--l", "1", "--m", "abc"], "--m expects an integer or 'inf'"),
+        (["index", "--l", "0", "--m", "1"], "--l must be at least 1"),
+        (["analyze", "--coherence"], "--coherence requires --l and --m"),
+    ],
+)
+def test_usage_errors_exit_one_with_the_message(capsys, petersen_file, flags, message):
+    code, out, err = _run(capsys, [*flags, "--graph", petersen_file])
+    assert code == 1 and message in err and out == ""
+
+
 def test_sweep_clean_scope_prints_nothing(capsys):
     code, out, err = _run(capsys, ["sweep", "--max-vertices", "4", "--max-m", "4"])
     assert code == 0 and out == ""

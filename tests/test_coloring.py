@@ -169,10 +169,10 @@ def test_equalized_petersen_four_colouring(petersen_graph):
     assert sorted(_sizes(colouring)) == [3, 4, 4, 4]
 
 
-def test_equalize_induced_petersen_multigraph(petersen_graph):
-    # three perfect matchings plus the leftover triple: 18 instances in all;
-    # equalizing a 4-colouring must land every class on 4 or 5 edges and the
-    # projected covering becomes a [4,5]-covering
+def test_equalize_overlapping_petersen_classes_into_a_4_5_covering(petersen_graph):
+    # three perfect matchings plus the leftover triple: 18 edge instances in
+    # all; equalizing these four classes must land every class on 4 or 5
+    # edges, which makes them a [4,5]-covering
     perfect = all_matchings(petersen_graph, 5, 5)
     first_valid = next(
         (i, j, k)

@@ -29,6 +29,7 @@ from excfact import (
     excessive_m_index,
     is_lm_coverable,
     lm_index_via_pairs,
+    maximum_matching,
     optimal_m_bounded_coloring,
     parse_graph6,
     verify_covering,
@@ -498,3 +499,47 @@ def test_memos_hold_per_graph_values_only():
     result = excessive_m_index(petersen(), 5)
     assert (result.value, result.rule) == (5, RULE_SEARCH)
     assert sum(f.cache_info().currsize for f in memos) <= 5
+
+
+def _generalized_petersen(n, k):
+    return SimpleGraph(2 * n, {(i, (i + 1) % n) for i in range(n)} | {(i, n + i) for i in range(n)}
+                       | {(n + i, n + (i + k) % n) for i in range(n)})
+
+
+def _flower_snark(k):
+    # star i: centre 4i, leaves 4i+1 (the k-cycle), 4i+2 and 4i+3 (one 2k-cycle with a twist)
+    edges = set()
+    for i in range(k):
+        j = (i + 1) % k
+        edges |= {(4 * i, 4 * i + 1), (4 * i, 4 * i + 2), (4 * i, 4 * i + 3), (4 * i + 1, 4 * j + 1)}
+        twist = 0 if j else 1
+        edges |= {(4 * i + 2, 4 * j + 2 + twist), (4 * i + 3, 4 * j + 3 - twist)}
+    return SimpleGraph(4 * k, edges)
+
+
+def _grid(rows, cols):
+    return SimpleGraph(rows * cols, {(v, v + 1) for v in range(rows * cols) if (v + 1) % cols}
+                       | {(v, v + cols) for v in range(rows * cols - cols)})
+
+
+@pytest.mark.parametrize(
+    "g, chi",
+    [
+        (_generalized_petersen(200, 2), 3),  # GP(n, k) other than the Petersen graph: class 1 (Castagna-Prins)
+        (_generalized_petersen(101, 3), 3),
+        (_flower_snark(11), 4),  # flower snarks: class 2 (Isaacs)
+        (_flower_snark(13), 4),
+        (_grid(20, 20), 4),  # bipartite: chi' = Delta (Konig)
+        (_grid(15, 40), 4),
+    ],
+    ids=["GP(200,2)", "GP(101,3)", "J11", "J13", "grid20x20", "grid15x40"],
+)
+def test_known_families_agree_at_the_ceiling_the_ratio_and_past_nu(g, chi):
+    assert chromatic_index(g) == chi
+    edges, nu = g.edge_count, len(maximum_matching(g))
+    for l, m in ((1, edges // chi), (edges // chi, -(-edges // chi)), (nu + 1, nu + 2)):
+        formula, two_branch = excessive_lm_index(g, l, m), exc_algorithm(g, l, m)
+        assert formula.value == two_branch.value
+        assert formula.finite == (l <= nu)
+        for result in (formula, two_branch):
+            assert result.witness is None or verify_covering(g, result.witness, l, m)

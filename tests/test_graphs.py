@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import networkx as nx
@@ -114,10 +115,19 @@ def test_graph6_accepts_standard_header():
     assert parse_graph6(">>graph6<<Bw") == complete(3)
 
 
-@pytest.mark.parametrize("text", ["", "B", "Bw~extra", "B\x1c", "C" + chr(200)])
+@pytest.mark.parametrize(
+    "text",
+    # truncated count, nonzero padding, and the 8-byte count form (here 258,048 vertices)
+    ["", "B", "Bw~extra", "B\x1c", "C" + chr(200), "~??", "Bx", "~~???~??"],
+)
 def test_graph6_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_graph6(text)
+
+
+def test_graph6_eight_byte_count_names_the_vertex_cap():
+    with pytest.raises(FormatError, match="258047"):
+        parse_graph6("~~???~??")
 
 
 def test_graph6_round_trip_exhaustive_small():
@@ -152,6 +162,19 @@ def test_graph6_extended_vertex_count():
     mirror.add_nodes_from(range(63))
     mirror.add_edges_from(g.edges)
     assert encoded == nx.to_graph6_bytes(mirror, header=False).decode().strip()
+
+
+@pytest.mark.parametrize("p", [0.03, 0.5, 1])
+@pytest.mark.parametrize("n", [62, 63, 65, 100])  # 1, 3, 4 and 0 bits in the last payload character
+def test_graph6_matches_networkx_on_random_graphs(n, p):
+    rng = random.Random(n * 100 + int(p * 100))
+    g = SimpleGraph(n, frozenset((i, j) for j in range(n) for i in range(j) if rng.random() < p))
+    mirror = nx.Graph()
+    mirror.add_nodes_from(range(n))
+    mirror.add_edges_from(g.edges)
+    reference = nx.to_graph6_bytes(mirror, header=False).decode().strip()
+    assert encode_graph6(g) == reference
+    assert parse_graph6(reference) == g
 
 
 def test_simple_graph_rejects_loops_and_range():
@@ -228,7 +251,7 @@ def test_covering_equality_is_multiset():
     assert hash(Covering((a, b))) == hash(Covering((b, a)))
 
 
-def test_induced_multigraph_size_is_sum_of_matching_sizes(petersen_graph):
+def test_petersen_4_5_witness_total_size_lies_in_the_window(petersen_graph):
     from excfact import excessive_lm_index
 
     witness = excessive_lm_index(petersen_graph, 4, 5).witness
