@@ -11,14 +11,13 @@ never needs to be tracked.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import islice
 from math import ceil
 from typing import Callable, Iterator
 
 from .budget import check_budget
 from .errors import InvariantError, ParameterError
-from .graphs import Covering, Edge, Matching, SimpleGraph
+from .graphs import Covering, Edge, Matching, SimpleGraph, _graph_memo
 from .matching import maximum_matching
 
 
@@ -103,7 +102,7 @@ def find_k_edge_coloring(g: SimpleGraph, k: int) -> Covering | None:
     return Covering(tuple(Matching(cls) for cls in classes))
 
 
-@lru_cache(maxsize=None)
+@_graph_memo
 def chromatic_index(g: SimpleGraph) -> int:
     """Exact chromatic index of a simple graph (0 for edgeless graphs).
 
@@ -184,7 +183,7 @@ def equalize(c: Covering, trace: list[int] | None = None) -> Covering:
     return Covering(tuple(Matching(frozenset(cls)) for cls in classes))
 
 
-@lru_cache(maxsize=None)
+@_graph_memo
 def _equalized_coloring(g: SimpleGraph, k: int) -> Covering | None:
     """The equalized k-edge-colouring of ``g``, or None when ``g`` has no
     k-colouring: the one place a simple graph is coloured.  The chromatic

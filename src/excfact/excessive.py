@@ -29,6 +29,7 @@ from .graphs import (
     Edge,
     Matching,
     SimpleGraph,
+    _graph_memo,
     _Value,
     covering_to_json,
 )
@@ -155,7 +156,7 @@ def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
     raise InvariantError("no covering found for a coverable graph")
 
 
-@lru_cache(maxsize=None)
+@_graph_memo
 def excessive_m_index(g: SimpleGraph, m: int) -> IndexResult:
     """Minimum number of size-m matchings covering the edge set, with witness."""
     if m < 1:

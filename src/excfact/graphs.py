@@ -3,14 +3,25 @@
 Vertices are 0-indexed integers and an edge is stored as the pair
 ``(min(u, v), max(u, v))``, so edge sets have canonical, order-independent
 semantics.  Every type here is immutable and hashable, which makes the whole
-library safe to memoise and to share between threads.
+library safe to share between threads.
+
+Per-graph invariants (the matching number, the chromatic index, the
+equalized colourings, the [m]-indices) are memoised on the graph object
+itself: each :class:`SimpleGraph` holds a private table outside its fields,
+filled by the functions decorated with :func:`_graph_memo`.  An entry lives
+exactly as long as its graph, so a long sweep runs in flat memory, and two
+equal but distinct graphs do not share entries.  Threads stay safe: an
+entry is one dict item, written once a value is complete, and two threads
+that race on the same key each compute an equal value and one of them is
+kept.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterator
+from functools import wraps
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import FormatError, PreconditionError
 
@@ -77,13 +88,20 @@ class _Value:
 
 
 class SimpleGraph(_Value):
-    """Finite undirected graph without loops or parallel edges."""
+    """Finite undirected graph without loops or parallel edges.
 
-    __slots__ = _fields = ("vertex_count", "edges")
+    ``_memo`` is the graph's memo table (see :func:`_graph_memo`); it is not
+    a field, so equality, hash, ``repr``, pickling and copying ignore it, and
+    a copy starts with an empty table.
+    """
+
+    __slots__ = ("vertex_count", "edges", "_memo")
+    _fields = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: frozenset[Edge] = frozenset()) -> None:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_memo", {})
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -96,15 +114,6 @@ class SimpleGraph(_Value):
                 raise PreconditionError(
                     f"edge endpoint {v} outside vertex range 0..{self.vertex_count - 1}"
                 )
-
-    # the memos hash a graph on every call: no loop over the fields, here or in Matching
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.vertex_count == other.vertex_count and self.edges == other.edges
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -186,6 +195,52 @@ class Covering(_Value):
 
     def __hash__(self) -> int:
         return hash(self.canonical())
+
+
+# ---------------------------------------------------------------------------
+# per-graph memos
+
+
+class _MemoInfo(NamedTuple):
+    hits: int
+    misses: int
+    currsize: int  # entries stored since the last clear, including those of graphs since freed
+
+
+def _graph_memo(f: Callable) -> Callable:
+    """Memoise ``f(g, *args)`` in the table of the graph ``g``.
+
+    An entry is keyed by the memoised function and ``args`` and holds the
+    value with the function's epoch, so a lookup never hashes the graph and
+    a ``None`` value is stored like any other.  A call that raises stores
+    nothing.  ``cache_clear()`` starts a new epoch, which makes every older
+    entry of this function a miss (the next store replaces it), and resets
+    the counters that ``cache_info()`` reports.
+    """
+    epoch = hits = misses = stored = 0
+
+    @wraps(f)
+    def memoised(g: SimpleGraph, *args):
+        nonlocal hits, misses, stored
+        key = (memoised, *args)
+        entry = g._memo.get(key)
+        if entry is not None and entry[0] == epoch:
+            hits += 1
+            return entry[1]
+        misses += 1
+        value = f(g, *args)
+        g._memo[key] = (epoch, value)
+        stored += 1
+        return value
+
+    def cache_clear() -> None:
+        nonlocal epoch, hits, misses, stored
+        epoch += 1
+        hits = misses = stored = 0
+
+    memoised.cache_clear = cache_clear
+    memoised.cache_info = lambda: _MemoInfo(hits, misses, stored)
+    return memoised
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ adjacency lists, so repeated runs return identical matchings.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
 from .budget import check_budget
 from .errors import ParameterError, PreconditionError
-from .graphs import Edge, Matching, SimpleGraph
+from .graphs import Edge, Matching, SimpleGraph, _graph_memo
 
 
 def _try_augment(root: int, adj: list[list[int]], match: list[int]) -> bool:
@@ -86,7 +85,7 @@ def _flip_path(v: int, parent, match) -> None:
         v = nxt
 
 
-@lru_cache(maxsize=None)
+@_graph_memo
 def maximum_matching(g: SimpleGraph) -> Matching:
     """A maximum-cardinality matching of ``g`` (deterministic for a fixed input)."""
     return Matching(frozenset(_matching_avoiding(g)))
@@ -140,11 +139,15 @@ def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matchi
     return Matching(n.edges | frozenset(extra[: target - len(n)]))
 
 
-@lru_cache(maxsize=None)
+@_graph_memo
 def _nu_coverable(g: SimpleGraph) -> bool:
-    """Whether every edge of ``g`` lies in a maximum matching."""
-    nu = len(maximum_matching(g))
-    return all(1 + len(_matching_avoiding(g, frozenset(e))) >= nu for e in g.sorted_edges())
+    """Whether every edge of ``g`` lies in a maximum matching; the edges of
+    the memoised maximum matching need no matching of their own."""
+    best = maximum_matching(g)
+    nu = len(best)
+    return all(
+        1 + len(_matching_avoiding(g, frozenset(e))) >= nu for e in g.sorted_edges() if e not in best.edges
+    )
 
 
 def is_lm_coverable(g: SimpleGraph, l: int) -> bool:

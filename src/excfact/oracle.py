@@ -87,6 +87,31 @@ def _branch_targets(masks: list[int], edge_count: int) -> list[tuple[int, list[i
     return [(1 << bit, containing[bit]) for bit in order]
 
 
+def _greedy_cover(masks: list[int], full: int) -> list[int]:
+    """Indices of a greedy cover of the edge bitmask ``full`` by ``masks``,
+    whose union is ``full``: each step takes the first candidate of largest
+    gain.  A step's scan stops at a candidate that gains as much as the
+    widest candidate holds or as many edges as are uncovered, since no later
+    candidate can gain more.
+    """
+    greedy: list[int] = []
+    covered = 0
+    widest = max(map(int.bit_count, masks), default=0)
+    while covered != full:
+        uncovered = full & ~covered
+        most = min(widest, uncovered.bit_count())
+        best_gain = pick = -1
+        for idx, mask in enumerate(masks):
+            gain = (mask & uncovered).bit_count()
+            if gain > best_gain:  # strict: the first candidate of largest gain wins
+                best_gain, pick = gain, idx
+                if gain == most:
+                    break
+        greedy.append(pick)
+        covered |= masks[pick]
+    return greedy
+
+
 def min_cover_bruteforce(g: SimpleGraph, l: int, m: int, *, candidates: list[int] | None = None) -> IndexResult:
     """Exact minimum [l,m]-cover by branch and bound over all [l,m]-matchings.
 
@@ -129,20 +154,8 @@ def min_cover_bruteforce(g: SimpleGraph, l: int, m: int, *, candidates: list[int
     # built at the first node the bounds do not prune; most windows never get there
     targets: list[tuple[int, list[int]]] = []
 
-    # greedy cover gives the initial upper bound
-    greedy: list[int] = []
-    covered = 0
-    while covered != full:
-        uncovered = full & ~covered
-        best_gain = pick = -1
-        for idx, mask in enumerate(masks):
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:  # strict: the first candidate of largest gain wins
-                best_gain, pick = gain, idx
-        greedy.append(pick)
-        covered |= masks[pick]
-    best_choice = greedy
-    best_size = len(greedy)
+    best_choice = _greedy_cover(masks, full)  # the initial upper bound
+    best_size = len(best_choice)
 
     def branch(covered: int, chosen: list[int]) -> None:
         nonlocal best_choice, best_size

@@ -129,10 +129,12 @@ def test_compatibility_report_reuses_f_of_nu_past_nu(monkeypatch, petersen_graph
 
 
 def test_compatibility_report_stops_on_budget():
-    """With every memo warm, only the per-m loop can notice the deadline."""
-    compatibility_report(petersen(), 5)
+    """With every memo warm, only the per-m loop can notice the deadline.
+    Memos live on the graph object, so both reports read one graph."""
+    g = petersen()
+    compatibility_report(g, 5)
     with pytest.raises(BudgetExceededError), time_budget(0):
-        compatibility_report(petersen(), 10**5)
+        compatibility_report(g, 10**5)
 
 
 def test_coherence_report_scans_no_size_above_nu(petersen_graph):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
 import json
 import math
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 from math import ceil
 from pathlib import Path
@@ -13,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from excfact import (
+    BudgetExceededError,
     Covering,
     INFINITY,
     Matching,
@@ -439,20 +444,22 @@ def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
 
 def test_cold_pass_colours_each_graph_once_per_colour_count(monkeypatch):
     """The chromatic index and every colouring witness read one (graph, k)
-    memo, so a cold pass searches each (graph, k) at most once."""
+    memo, so a cold pass searches each (graph, k) at most once.  Memos live
+    on the graph object, so the graphs are kept alive and counted by object:
+    equal graphs drawn twice are two graphs."""
     for f in excfact_memos():
         f.cache_clear()
     searched = Counter()
     real = coloring_module.find_k_edge_coloring
 
     def counted(g, k):
-        searched[g, k] += 1
+        searched[id(g), k] += 1
         return real(g, k)
 
     monkeypatch.setattr(coloring_module, "find_k_edge_coloring", counted)
     rng = random.Random(11)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(4, 7))
+    graphs = [random_graph(rng, rng.randint(4, 7)) for _ in range(40)]
+    for g in graphs:
         for l in range(1, 6):
             for m in range(l, 6):
                 excessive_lm_index(g, l, m)
@@ -499,6 +506,65 @@ def test_memos_hold_per_graph_values_only():
     result = excessive_m_index(petersen(), 5)
     assert (result.value, result.rule) == (5, RULE_SEARCH)
     assert sum(f.cache_info().currsize for f in memos) <= 5
+
+
+def test_memo_entries_die_with_their_graph():
+    """Each graph holds its own memo entries, so a cold 2,000-graph sweep
+    leaves nothing behind once its graphs are gone."""
+    for f in excfact_memos():
+        f.cache_clear()
+    config = SweepConfig(max_vertices=5, max_m=1, seed=2, samples_per_size=500, exhaustive_limit=1)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert small_graph_sweep(config) == []
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
+def test_equal_but_distinct_graphs_compute_their_own_values():
+    first, second = petersen(), petersen()
+    assert first == second and first is not second
+    expected = (chromatic_index(first), excessive_m_index(first, 5))
+    misses = chromatic_index.cache_info().misses, excessive_m_index.cache_info().misses
+    assert (chromatic_index(second), excessive_m_index(second, 5)) == expected
+    assert (chromatic_index.cache_info().misses, excessive_m_index.cache_info().misses) == (
+        misses[0] + 1,
+        misses[1] + 1,
+    )
+
+
+def test_cache_clear_makes_the_next_call_on_a_live_graph_a_miss():
+    """A copy is equal, hashes and prints alike, and starts with its own empty table."""
+    g = petersen()
+    value = excessive_m_index(g, 5)
+    assert excessive_m_index(g, 5) is value
+    excessive_m_index.cache_clear()
+    assert tuple(excessive_m_index.cache_info()) == (0, 0, 0)
+    assert excessive_m_index(g, 5) == value
+    assert excessive_m_index(g, 5) == value
+    assert tuple(excessive_m_index.cache_info()) == (1, 1, 1)
+    for twin in (copy.copy(g), pickle.loads(pickle.dumps(g))):
+        assert (twin, hash(twin), repr(twin)) == (g, hash(g), repr(g))
+        assert excessive_m_index(twin, 5) == value
+    assert tuple(excessive_m_index.cache_info()) == (1, 3, 3)
+
+
+def test_budget_abort_in_chromatic_index_stores_nothing():
+    """Petersen needs the exhaustive 3-colouring search; aborting it leaves
+    only the maximum matching, which completed, on the graph."""
+    g = petersen()
+    maximum_matching(g)
+    sizes = chromatic_index.cache_info().currsize, coloring_module._equalized_coloring.cache_info().currsize
+    with pytest.raises(BudgetExceededError), time_budget(0):
+        chromatic_index(g)
+    assert {key[0] for key in g._memo} == {maximum_matching}
+    assert (chromatic_index.cache_info().currsize, coloring_module._equalized_coloring.cache_info().currsize) == sizes
+    assert chromatic_index(g) == 4
 
 
 def _generalized_petersen(n, k):

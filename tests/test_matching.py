@@ -20,7 +20,7 @@ from excfact import (
 )
 from excfact import matching as matching_module
 from excfact.budget import time_budget
-from excfact.families import cycle, empty, path, star
+from excfact.families import cycle, empty, path, petersen, star
 from excfact.oracle import enumerate_labeled_graphs, random_graph
 from oracles import all_matchings, max_matching_size_bruteforce
 from strategies import simple_graphs
@@ -185,6 +185,28 @@ def test_coverability_at_the_matching_number_stops_at_the_first_uncovered_edge(m
     matching_module._nu_coverable.cache_clear()
     assert not is_lm_coverable(path(3000), 1500)
     assert len(calls) <= 3
+
+
+def test_coverability_at_the_matching_number_skips_the_maximum_matching(monkeypatch):
+    """The edges of the memoised maximum matching lie in a maximum matching
+    already, so only the other edges get a blossom run of their own, and
+    the answer is the one a run per edge gives."""
+    real = matching_module._matching_avoiding
+
+    def every_edge(g):
+        nu = len(real(g))
+        return all(1 + len(real(g, frozenset(e))) >= nu for e in g.edges)
+
+    calls = []
+    monkeypatch.setattr(
+        matching_module, "_matching_avoiding", lambda *args: calls.append(args) or real(*args)
+    )
+    g = petersen()
+    assert is_lm_coverable(g, 5) and every_edge(g)
+    assert len(calls) == 1 + 15 - 5  # the maximum matching, then one run per edge outside it
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            assert matching_module._nu_coverable(g) == every_edge(g), g
 
 
 def test_coverability_at_the_matching_number_stops_on_budget():

@@ -96,6 +96,37 @@ def test_min_cover_rejects_unverified_witness(monkeypatch):
         min_cover_bruteforce(cycle(4), 1, 2)
 
 
+def test_greedy_cover_matches_a_full_scan_greedy():
+    """The greedy incumbent's scan stops early at a candidate whose gain no
+    later one can beat; over every labelled graph on at most 5 vertices and
+    every window up to m = 5 it picks what a full scan picks."""
+
+    def full_scan(masks, full):
+        picks, covered = [], 0
+        while covered != full:
+            gains = [(mask & ~covered).bit_count() for mask in masks]
+            picks.append(gains.index(max(gains)))  # the first candidate of largest gain
+            covered |= masks[picks[-1]]
+        return picks
+
+    compared = 0
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            edges = g.sorted_edges()
+            full = (1 << len(edges)) - 1
+            masks = oracle_module._matching_masks(edges, 1, 5, 1_000_000)
+            for l in range(1, 6):
+                for m in range(l, 6):
+                    candidates = [mask for mask in masks if l <= mask.bit_count() <= m]
+                    union = 0
+                    for mask in candidates:
+                        union |= mask
+                    if union == full:
+                        assert oracle_module._greedy_cover(candidates, full) == full_scan(candidates, full)
+                        compared += 1
+    assert compared == 7_900
+
+
 def test_one_enumeration_filtered_by_size_gives_every_window_its_candidates():
     """The sweep enumerates a graph's matchings once and filters them by size
     per window; that list equals the window's own enumeration, in order, and
