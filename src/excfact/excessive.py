@@ -103,7 +103,9 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     """A covering by ``ceil(|E|/m)`` matchings of size exactly m.
 
     Valid whenever ``|E| >= m * chi'``.  Take an equalized chromatic-index
-    colouring (all classes have at least m edges then), and repeat the
+    colouring (all classes have at least m edges then).  When m divides
+    every class size (always at m = 1), cutting each class, in sorted edge
+    order, into runs of m edges gives the covering.  Otherwise repeat the
     ``t = k*m - |E|`` lexicographically smallest edges of its first class in
     a fresh class: ``t > 0`` forces ``k > chi'`` so a colour is free.
     Equalizing the padded colouring makes every class size exactly
@@ -113,29 +115,41 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     chi = chromatic_index(g)
     if edge_total < m * chi or edge_total == 0:
         raise InvariantError("the ceiling witness needs |E| >= m * chi' > 0")
-    k = ceil(edge_total / m)
-    t = k * m - edge_total
     psi = _equalized_coloring(g, chi)
-    if t and k <= chi:
-        raise InvariantError("padding is only ever needed when a fresh colour exists")
-    donor = psi.matchings[0].sorted_edges()
-    if not len(donor) >= m > t:
-        raise InvariantError("the first class cannot donate the padding edges")
-    padding = (Matching(frozenset(donor[:t])),) if t else ()
-    classes = psi.matchings + padding + tuple(Matching() for _ in range(k - chi - len(padding)))
-    balanced = equalize(Covering(classes))
-    if any(len(cls) != m for cls in balanced.matchings):
-        raise InvariantError("padded colouring did not equalize to size m")
-    return balanced
+    if all(len(cls) % m == 0 for cls in psi.matchings):
+        runs = [cls.sorted_edges() for cls in psi.matchings]
+        witness = Covering(tuple(Matching(frozenset(r[i : i + m])) for r in runs for i in range(0, len(r), m)))
+    else:
+        k = ceil(edge_total / m)
+        t = k * m - edge_total
+        if t and k <= chi:
+            raise InvariantError("padding is only ever needed when a fresh colour exists")
+        donor = psi.matchings[0].sorted_edges()
+        if not len(donor) >= m > t:
+            raise InvariantError("the first class cannot donate the padding edges")
+        padding = (Matching(frozenset(donor[:t])),) if t else ()
+        classes = psi.matchings + padding + tuple(Matching() for _ in range(k - chi - len(padding)))
+        witness = equalize(Covering(classes))
+    if any(len(cls) != m for cls in witness.matchings):
+        raise InvariantError("the ceiling witness has a matching whose size is not m")
+    return witness
 
 
 def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
     """Smallest k admitting a k-edge colouring whose classes have size <= m
     and each extend to an [m]-matching, by deterministic backtracking.
 
-    ``|E|`` colours always suffice for a coverable graph (single edges
-    extend), so the increasing search terminates.
+    Any covering by k [m]-matchings induces a proper k-colouring, so k is at
+    least chi'.  SEARCH runs only when ``|E| < m * chi'``, so every class of
+    the equalized chi'-colouring has at most m edges; when each of them
+    extends, they settle k = chi' with no search.  Otherwise ``|E|`` colours
+    always suffice for a coverable graph (single edges extend), so the
+    increasing search terminates.
     """
+    chi = chromatic_index(g)
+    extended = [extend_to_lm_matching(g, cls, m, m) for cls in _equalized_coloring(g, chi).matchings]
+    if None not in extended:
+        return chi, Covering(tuple(extended))
     edges = g.sorted_edges()
 
     @lru_cache(maxsize=None)  # revisited classes, by edge-index bitmask, this search only
@@ -143,8 +157,8 @@ def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
         members = frozenset(e for j, e in enumerate(edges) if cls >> j & 1)
         return extend_to_lm_matching(g, Matching(members), m, m) is not None
 
-    # SEARCH runs only when |E| < m * chi', so ceil(|E|/m) <= chi' adds no bound
-    for k in range(chromatic_index(g), g.edge_count + 1):
+    # ceil(|E|/m) <= chi' adds no bound
+    for k in range(chi, g.edge_count + 1):
         classes = _color_in_order(
             edges, g.vertex_count, k, lambda cls: cls.bit_count() <= m and extends(cls)
         )

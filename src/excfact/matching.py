@@ -97,6 +97,7 @@ def _matching_avoiding(g: SimpleGraph, banned: frozenset[int] = frozenset()) -> 
     Only endpoints of the remaining edges are numbered, in increasing order:
     the cost follows the edges, and every scan keeps the vertex order.
     """
+    check_budget()
     live = [(u, v) for u, v in g.sorted_edges() if u not in banned and v not in banned]
     vertices = sorted({v for e in live for v in e})
     index = {v: i for i, v in enumerate(vertices)}
@@ -141,13 +142,20 @@ def extend_to_lm_matching(g: SimpleGraph, n: Matching, l: int, m: int) -> Matchi
 
 @_graph_memo
 def _nu_coverable(g: SimpleGraph) -> bool:
-    """Whether every edge of ``g`` lies in a maximum matching; the edges of
-    the memoised maximum matching need no matching of their own."""
+    """Whether every edge of ``g`` lies in a maximum matching.  An edge e
+    with a matching of ``nu - 1`` edges avoiding it makes that matching plus
+    e maximum, so those edges, like the memoised maximum matching's, need no
+    matching of their own."""
     best = maximum_matching(g)
     nu = len(best)
-    return all(
-        1 + len(_matching_avoiding(g, frozenset(e))) >= nu for e in g.sorted_edges() if e not in best.edges
-    )
+    covered = set(best.edges)
+    for e in g.sorted_edges():
+        if e not in covered:
+            run = _matching_avoiding(g, frozenset(e))
+            if 1 + len(run) < nu:
+                return False
+            covered.update(run)
+    return True
 
 
 def is_lm_coverable(g: SimpleGraph, l: int) -> bool:

@@ -40,6 +40,7 @@ from excfact import (
     verify_covering,
 )
 from excfact import coloring as coloring_module
+from excfact import matching as matching_module
 from excfact.analysis import coherence_report_to_json
 from excfact.budget import time_budget
 from excfact import excessive as excessive_module
@@ -106,7 +107,7 @@ def test_covering_violations_text():
 # route below: it pins the witnesses that the equalizer's walk order gives.
 # A change that moves witnesses regenerates it and keeps the values line of
 # scripts/witness_digest.py
-WITNESS_SHA256 = "323e81aa9c38b43329a325eaf43e4ca276dd81f5275419b3f1cb926f50c96508"
+WITNESS_SHA256 = "6b814f3edd2f4405120e4dd474c25719a3f90629b441814b10efc36e1a1303bf"
 
 
 def test_witnesses_of_larger_graphs_keep_their_hash():
@@ -499,13 +500,100 @@ def test_unverified_witness_raises_invariant_error(monkeypatch):
 
 def test_memos_hold_per_graph_values_only():
     """A SEARCH-rule index leaves no per-window or per-class entries behind:
-    the colouring search's admission memo is dropped when the search returns."""
-    memos = excfact_memos()
-    for f in memos:
-        f.cache_clear()
-    result = excessive_m_index(petersen(), 5)
+    every entry in the graph's table is one of the five per-graph memos,
+    called with nothing or with one colour count or m, and the colouring
+    search's admission memo is dropped when the search returns."""
+    per_graph = {
+        maximum_matching,
+        matching_module._nu_coverable,
+        chromatic_index,
+        coloring_module._equalized_coloring,
+        excessive_m_index,
+    }
+    g = petersen()
+    result = excessive_m_index(g, 5)
     assert (result.value, result.rule) == (5, RULE_SEARCH)
-    assert sum(f.cache_info().currsize for f in memos) <= 5
+    for f, *args in g._memo:
+        assert f in per_graph, f
+        assert len(args) <= 1 and all(type(a) is int and 1 <= a <= g.edge_count for a in args), (f, args)
+    assert {(f.__name__, *args) for f, *args in g._memo} == {
+        ("maximum_matching",),
+        ("_nu_coverable",),
+        ("chromatic_index",),
+        ("_equalized_coloring", 3),  # chi' is decided at the maximum degree
+        ("_equalized_coloring", 4),  # the colouring the SEARCH regime tries first
+        ("excessive_m_index", 5),
+    }
+
+
+def _color_in_order_raises(*args):
+    raise AssertionError("the colouring search ran")
+
+
+def _equalize_raises(*args):
+    raise AssertionError("the ceiling witness was equalized")
+
+
+@pytest.mark.parametrize(
+    "make, m", [(lambda: cycle(5), 2), (lambda: cycle(7), 3), (petersen, 4)], ids=["C5-2", "C7-3", "petersen-4"]
+)
+def test_search_window_takes_the_extended_chi_colouring(monkeypatch, make, m):
+    """When every class of the equalized chi'-colouring extends to an
+    [m]-matching, those extensions are the witness and no colouring search
+    runs: any covering by k [m]-matchings is a proper k-colouring, so chi'
+    is the least k."""
+    monkeypatch.setattr(excessive_module, "_color_in_order", _color_in_order_raises)
+    g = make()
+    chi = chromatic_index(g)
+    result = excessive_m_index(g, m)
+    assert (result.value, result.rule) == (chi, RULE_SEARCH)
+    assert g.edge_count < m * chi and verify_covering(g, result.witness, m, m)
+    classes = coloring_module._equalized_coloring(g, chi).matchings
+    assert all(cls.edges <= found.edges for cls, found in zip(classes, result.witness.matchings))
+
+
+def test_search_window_above_chi_still_searches(monkeypatch):
+    """Petersen at m = 5 has value 5 > chi' = 4, so some class of its
+    4-colouring extends to no perfect matching, and the search runs at
+    k = 4 and k = 5."""
+    calls = []
+    real = excessive_module._color_in_order
+    monkeypatch.setattr(excessive_module, "_color_in_order", lambda *args: calls.append(args[2]) or real(*args))
+    g = petersen()
+    result = excessive_m_index(g, 5)
+    assert (chromatic_index(g), result.value, result.rule) == (4, 5, RULE_SEARCH)
+    assert calls == [4, 5]
+
+
+@pytest.mark.parametrize(
+    "make, m",
+    [(lambda: cycle(12), 2), (lambda: cycle(12), 3), (lambda: path(3000), 1)],
+    ids=["C12-2", "C12-3", "P3000-1"],
+)
+def test_ceiling_witness_cuts_classes_that_m_divides(monkeypatch, make, m):
+    """When m divides every class of the equalized chi'-colouring, the
+    witness is each class cut, in sorted edge order, into runs of m edges;
+    nothing is padded or equalized again."""
+    monkeypatch.setattr(excessive_module, "equalize", _equalize_raises)
+    g = make()
+    result = excessive_m_index(g, m)
+    classes = coloring_module._equalized_coloring(g, chromatic_index(g)).matchings
+    runs = [edges[i : i + m] for cls in classes for edges in [cls.sorted_edges()] for i in range(0, len(edges), m)]
+    assert (result.value, result.rule) == (g.edge_count // m, RULE_LEMMA_CF)
+    assert [found.sorted_edges() for found in result.witness.matchings] == runs
+
+
+def test_ceiling_witness_equalizes_when_m_leaves_a_remainder(monkeypatch):
+    """path(40) has classes of 20 and 19 edges, which 3 does not divide."""
+    calls = []
+    real = excessive_module.equalize
+    monkeypatch.setattr(excessive_module, "equalize", lambda c: calls.append(c) or real(c))
+    g = path(40)
+    result = excessive_m_index(g, 3)
+    sizes = sorted(len(cls) for cls in coloring_module._equalized_coloring(g, 2).matchings)
+    assert sizes == [19, 20] and len(calls) == 1
+    assert (result.value, result.rule) == (13, RULE_LEMMA_CF)
+    assert all(len(found) == 3 for found in result.witness.matchings)
 
 
 def test_memo_entries_die_with_their_graph():

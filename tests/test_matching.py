@@ -187,31 +187,45 @@ def test_coverability_at_the_matching_number_stops_at_the_first_uncovered_edge(m
     assert len(calls) <= 3
 
 
-def test_coverability_at_the_matching_number_skips_the_maximum_matching(monkeypatch):
-    """The edges of the memoised maximum matching lie in a maximum matching
-    already, so only the other edges get a blossom run of their own, and
-    the answer is the one a run per edge gives."""
+def _every_edge_in_a_maximum_matching(g):
+    """The coverability answer from one blossom run per edge."""
     real = matching_module._matching_avoiding
+    nu = len(real(g))
+    return all(1 + len(real(g, frozenset(e))) >= nu for e in g.edges)
 
-    def every_edge(g):
-        nu = len(real(g))
-        return all(1 + len(real(g, frozenset(e))) >= nu for e in g.edges)
 
+def test_coverability_at_the_matching_number_skips_the_maximum_matching(monkeypatch):
+    """The edges of the memoised maximum matching, and of every successful
+    run, lie in a maximum matching already, so only the edges outside them
+    get a blossom run of their own, and the answer is the one a run per
+    edge gives."""
+    real = matching_module._matching_avoiding
     calls = []
     monkeypatch.setattr(
         matching_module, "_matching_avoiding", lambda *args: calls.append(args) or real(*args)
     )
     g = petersen()
-    assert is_lm_coverable(g, 5) and every_edge(g)
-    assert len(calls) == 1 + 15 - 5  # the maximum matching, then one run per edge outside it
+    assert is_lm_coverable(g, 5)
+    # the maximum matching, then runs for (0, 4), (0, 5), (1, 6) and (2, 7)
+    # only: with the maximum matching, those runs hold every later edge
+    assert len(calls) == 1 + 4
+    monkeypatch.undo()
+    assert _every_edge_in_a_maximum_matching(g)
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
-            assert matching_module._nu_coverable(g) == every_edge(g), g
+            assert matching_module._nu_coverable(g) == _every_edge_in_a_maximum_matching(g), g
+
+
+@given(simple_graphs(max_vertices=9))
+def test_coverability_at_the_matching_number_agrees_with_a_run_per_edge(g):
+    assert matching_module._nu_coverable(g) == _every_edge_in_a_maximum_matching(g)
 
 
 def test_coverability_at_the_matching_number_stops_on_budget():
-    """The greedy seed matches every cycle perfectly, so no augmenting search
-    starts until the ban on edge (3, 4) leaves vertex 2 unmatched."""
+    """The greedy seed matches the cycle perfectly, and also the path left
+    when the one run bans the ends of edge (0, 2999); that run holds every
+    edge the maximum matching misses.  No augmenting search starts, so only
+    the check on entry to each blossom run can stop it."""
     g = cycle(3000)
     maximum_matching(g)
     matching_module._nu_coverable.cache_clear()
