@@ -102,15 +102,10 @@ def find_k_edge_coloring(g: SimpleGraph, k: int) -> Covering | None:
     return Covering(tuple(Matching(cls) for cls in classes))
 
 
-@_graph_memo
 def chromatic_index(g: SimpleGraph) -> int:
-    """Exact chromatic index of a simple graph (0 for edgeless graphs).
-
-    Only the maximum degree and one more colour ever need testing, so the
-    memoised colouring at the maximum degree settles the answer.
-    """
-    d = g.max_degree()
-    return d if _equalized_coloring(g, d) is not None else d + 1
+    """Exact chromatic index of a simple graph (0 for edgeless graphs): the
+    number of classes of the memoised chi'-colouring."""
+    return len(_chi_coloring(g))
 
 
 def _surplus_paths(a_edges: set[Edge], b_edges: set[Edge]) -> Iterator[tuple[set[Edge], set[Edge]]]:
@@ -184,34 +179,37 @@ def equalize(c: Covering, trace: list[int] | None = None) -> Covering:
 
 
 @_graph_memo
-def _equalized_coloring(g: SimpleGraph, k: int) -> Covering | None:
-    """The equalized k-edge-colouring of ``g``, or None when ``g`` has no
-    k-colouring: the one place a simple graph is coloured.  The chromatic
-    index is read from it at the maximum degree, and more colours always
-    suffice (Vizing), so at any ``k >= chi'`` it holds a colouring or raises.
+def _chi_coloring(g: SimpleGraph) -> Covering:
+    """The equalized chi'-colouring of ``g``: the one place a simple graph is
+    coloured.  Only the maximum degree and one more colour need testing
+    (Vizing); every colouring with more colours is derived from this one.
     """
-    found = find_k_edge_coloring(g, k)
+    d = g.max_degree()
+    found = find_k_edge_coloring(g, d)
     if found is None:
-        if k > g.max_degree():
-            raise InvariantError(f"no colouring with {k} colours")
-        return None
+        found = find_k_edge_coloring(g, d + 1)
+        if found is None:
+            raise InvariantError(f"no colouring with {d + 1} colours")
     return equalize(found)
 
 
+@_graph_memo
 def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> Covering:
     """Edge colouring with the fewest colours subject to class sizes <= m.
 
-    ``max(chromatic_index(g), ceil(|E|/m))`` colours are always enough: the
-    equalized colouring with that many colours has classes of size at most
-    ``ceil(|E|/k) <= m``, and fewer colours are impossible.  Public as the
-    paper's optimal m-bounded colouring, which the acceptance gate checks.
+    ``k = max(chi', ceil(|E|/m))`` colours are always enough, and fewer are
+    impossible: the chi'-colouring padded with ``k - chi'`` empty classes
+    and equalized has classes of size at most ``ceil(|E|/k) <= m``.  Public
+    as the paper's optimal m-bounded colouring, which the acceptance gate
+    checks.
     """
     if m < 1:
         raise ParameterError("m must be at least 1")
     if not g.edges:
         raise ParameterError("graph has no edges")
-    k = max(chromatic_index(g), ceil(g.edge_count / m))
-    colouring = _equalized_coloring(g, k)  # k >= chi', so it exists
+    psi = _chi_coloring(g)
+    k = max(len(psi), ceil(g.edge_count / m))
+    colouring = equalize(Covering(psi.matchings + (Matching(),) * (k - len(psi)))) if k > len(psi) else psi
     if max(len(cls) for cls in colouring.matchings) > m:
         raise InvariantError(f"no {k}-colouring with classes of size at most {m}")
     return colouring

@@ -17,8 +17,8 @@ from functools import lru_cache
 from math import ceil
 
 from .coloring import (
+    _chi_coloring,
     _color_in_order,
-    _equalized_coloring,
     chromatic_index,
     equalize,
     optimal_m_bounded_coloring,
@@ -102,8 +102,8 @@ def verify_covering(g: SimpleGraph, c: Covering, l: int, m: int) -> bool:
 def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     """A covering by ``ceil(|E|/m)`` matchings of size exactly m.
 
-    Valid whenever ``|E| >= m * chi'``.  Take an equalized chromatic-index
-    colouring (all classes have at least m edges then).  When m divides
+    Valid whenever ``|E| >= m * chi'``.  Take the memoised equalized
+    chi'-colouring (all classes have at least m edges then).  When m divides
     every class size (always at m = 1), cutting each class, in sorted edge
     order, into runs of m edges gives the covering.  Otherwise repeat the
     ``t = k*m - |E|`` lexicographically smallest edges of its first class in
@@ -112,10 +112,10 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     ``k*m / k = m``, and its classes are the covering.
     """
     edge_total = g.edge_count
-    chi = chromatic_index(g)
+    psi = _chi_coloring(g)
+    chi = len(psi)
     if edge_total < m * chi or edge_total == 0:
         raise InvariantError("the ceiling witness needs |E| >= m * chi' > 0")
-    psi = _equalized_coloring(g, chi)
     if all(len(cls) % m == 0 for cls in psi.matchings):
         runs = [cls.sorted_edges() for cls in psi.matchings]
         witness = Covering(tuple(Matching(frozenset(r[i : i + m])) for r in runs for i in range(0, len(r), m)))
@@ -146,8 +146,9 @@ def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
     always suffice for a coverable graph (single edges extend), so the
     increasing search terminates.
     """
-    chi = chromatic_index(g)
-    extended = [extend_to_lm_matching(g, cls, m, m) for cls in _equalized_coloring(g, chi).matchings]
+    psi = _chi_coloring(g)
+    chi = len(psi)
+    extended = [extend_to_lm_matching(g, cls, m, m) for cls in psi.matchings]
     if None not in extended:
         return chi, Covering(tuple(extended))
     edges = g.sorted_edges()
@@ -209,7 +210,7 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
             raise InvariantError("[m]-index disagrees with ceil(|E|/m)")
         result = IndexResult(value, base.witness, RULE_FORMULA_CEIL)
     elif l * chi <= edge_total:
-        witness = _equalized_coloring(g, chi)
+        witness = _chi_coloring(g)
         if edge_total == l * chi and excessive_m_index(g, l).value != chi:  # overlap with the fixed-size branch
             raise InvariantError("chromatic-index branch disagrees with the [l]-index")
         result = IndexResult(chi, witness, RULE_FORMULA_CHI)
@@ -227,9 +228,9 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     Compare the optimal numbers of colours for 1..l-bounded and 1..m-bounded
     colourings, ``max(chi', ceil(|E|/l))`` and ``max(chi', ceil(|E|/m))``.
     If the m-bounded one is strictly smaller, the optimal m-bounded
-    colouring, the equalized colouring with that many colours, is a covering
-    whose sizes already land in [l, m]; otherwise the answer equals the
-    excessive [l]-index.  The colouring comes from the (graph, k) memo that
+    colouring, the chi'-colouring padded to that many colours and equalized,
+    is a covering whose sizes already land in [l, m]; otherwise the answer
+    equals the excessive [l]-index.  The chi'-colouring is the one that
     :func:`excessive_lm_index` also reads; this route's independence lies in
     its case analysis, which shares nothing with the closed form, so
     agreement between the two cross-validates the split.

@@ -107,7 +107,7 @@ def test_covering_violations_text():
 # route below: it pins the witnesses that the equalizer's walk order gives.
 # A change that moves witnesses regenerates it and keeps the values line of
 # scripts/witness_digest.py
-WITNESS_SHA256 = "6b814f3edd2f4405120e4dd474c25719a3f90629b441814b10efc36e1a1303bf"
+WITNESS_SHA256 = "a00699afbc9f18f11327ad78af480723312b33de17e640da6f335af9b6cc8089"
 
 
 def test_witnesses_of_larger_graphs_keep_their_hash():
@@ -211,7 +211,7 @@ def test_chromatic_index_branch_witness_is_the_memoised_colouring(petersen_graph
     # the equalized chi'-colouring is the witness itself, not a copy of it
     result = excessive_lm_index(petersen_graph, 3, 5)
     assert result.rule == RULE_FORMULA_CHI
-    assert result.witness is coloring_module._equalized_coloring(petersen_graph, 4)
+    assert result.witness is coloring_module._chi_coloring(petersen_graph)
 
 
 def test_lm_index_equals_m_index_on_diagonal(petersen_graph):
@@ -443,19 +443,38 @@ def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
     assert above_chi_seen == {False, True}  # both k = chi' and k > chi' occur
 
 
-def test_cold_pass_colours_each_graph_once_per_colour_count(monkeypatch):
-    """The chromatic index and every colouring witness read one (graph, k)
-    memo, so a cold pass searches each (graph, k) at most once.  Memos live
-    on the graph object, so the graphs are kept alive and counted by object:
-    equal graphs drawn twice are two graphs."""
+def test_m_bounded_colouring_above_chi_is_padded_inside_the_budget():
+    """A random cubic graph on 50 vertices (75 edges, chi' = 3, nu = 25) at
+    [1, 19] takes the m-bounded branch with 4 colours.  Its 3-colouring is
+    found at once; a backtracking search for a 4-colouring runs for seconds,
+    so the 4-colouring must come from padding the 3-colouring."""
+    g = parse_graph6((Path(__file__).parent / "data" / "cubic50_class1.g6").read_text())
+    with time_budget(2000):
+        result = exc_algorithm(g, 1, 19)
+    assert (g.edge_count, chromatic_index(g), len(maximum_matching(g))) == (75, 3, 25)
+    assert (result.value, result.rule) == (4, RULE_FORMULA_CEIL)
+    assert verify_covering(g, result.witness, 1, 19)
+    assert result.witness is optimal_m_bounded_coloring(g, 19)
+
+
+def test_cold_pass_colours_each_graph_once(monkeypatch):
+    """Every colouring is read from or padded from one memoised
+    chi'-colouring, so a cold pass searches each graph at the maximum
+    degree once, and at one more colour only when that search failed.
+    Memos live on the graph object, so the graphs are kept alive and
+    counted by object: equal graphs drawn twice are two graphs."""
     for f in excfact_memos():
         f.cache_clear()
     searched = Counter()
+    failed = set()
     real = coloring_module.find_k_edge_coloring
 
     def counted(g, k):
         searched[id(g), k] += 1
-        return real(g, k)
+        found = real(g, k)
+        if found is None:
+            failed.add((id(g), k))
+        return found
 
     monkeypatch.setattr(coloring_module, "find_k_edge_coloring", counted)
     rng = random.Random(11)
@@ -465,17 +484,23 @@ def test_cold_pass_colours_each_graph_once_per_colour_count(monkeypatch):
             for m in range(l, 6):
                 excessive_lm_index(g, l, m)
                 exc_algorithm(g, l, m)
+        for m in range(1, 6):
+            if g.edges:
+                optimal_m_bounded_coloring(g, m)
     assert searched and max(searched.values()) == 1
+    assert set(searched) == {(id(g), g.max_degree()) for g in graphs} | {(i, k + 1) for i, k in failed}
 
 
 def test_missing_colouring_raises_invariant_error(monkeypatch):
-    """Every reader of the (graph, k) colouring memo at k >= chi' gets a
-    colouring or an InvariantError, never a None to unpack."""
+    """When no colouring is found at the maximum degree, the search at one
+    more colour inside ``_chi_coloring`` is the guard: its failure would
+    contradict Vizing, so every reader gets a colouring or an
+    InvariantError, never a None to unpack."""
     memos = excfact_memos()
     for f in memos:
         f.cache_clear()
     monkeypatch.setattr(coloring_module, "find_k_edge_coloring", lambda g, k: None)
-    try:  # chi'(C4) now reads 3, and no 3-colouring is found either
+    try:  # no 2-colouring of C4 is found, and no 3-colouring either
         for route in (
             lambda: excessive_lm_index(cycle(4), 1, 2),
             lambda: exc_algorithm(cycle(4), 1, 4),
@@ -501,13 +526,13 @@ def test_unverified_witness_raises_invariant_error(monkeypatch):
 def test_memos_hold_per_graph_values_only():
     """A SEARCH-rule index leaves no per-window or per-class entries behind:
     every entry in the graph's table is one of the five per-graph memos,
-    called with nothing or with one colour count or m, and the colouring
-    search's admission memo is dropped when the search returns."""
+    called with nothing or with one m, and the colouring search's admission
+    memo is dropped when the search returns."""
     per_graph = {
         maximum_matching,
         matching_module._nu_coverable,
-        chromatic_index,
-        coloring_module._equalized_coloring,
+        coloring_module._chi_coloring,
+        coloring_module.optimal_m_bounded_coloring,
         excessive_m_index,
     }
     g = petersen()
@@ -519,9 +544,7 @@ def test_memos_hold_per_graph_values_only():
     assert {(f.__name__, *args) for f, *args in g._memo} == {
         ("maximum_matching",),
         ("_nu_coverable",),
-        ("chromatic_index",),
-        ("_equalized_coloring", 3),  # chi' is decided at the maximum degree
-        ("_equalized_coloring", 4),  # the colouring the SEARCH regime tries first
+        ("_chi_coloring",),  # chi', and the colouring the SEARCH regime tries first
         ("excessive_m_index", 5),
     }
 
@@ -548,7 +571,7 @@ def test_search_window_takes_the_extended_chi_colouring(monkeypatch, make, m):
     result = excessive_m_index(g, m)
     assert (result.value, result.rule) == (chi, RULE_SEARCH)
     assert g.edge_count < m * chi and verify_covering(g, result.witness, m, m)
-    classes = coloring_module._equalized_coloring(g, chi).matchings
+    classes = coloring_module._chi_coloring(g).matchings
     assert all(cls.edges <= found.edges for cls, found in zip(classes, result.witness.matchings))
 
 
@@ -577,7 +600,7 @@ def test_ceiling_witness_cuts_classes_that_m_divides(monkeypatch, make, m):
     monkeypatch.setattr(excessive_module, "equalize", _equalize_raises)
     g = make()
     result = excessive_m_index(g, m)
-    classes = coloring_module._equalized_coloring(g, chromatic_index(g)).matchings
+    classes = coloring_module._chi_coloring(g).matchings
     runs = [edges[i : i + m] for cls in classes for edges in [cls.sorted_edges()] for i in range(0, len(edges), m)]
     assert (result.value, result.rule) == (g.edge_count // m, RULE_LEMMA_CF)
     assert [found.sorted_edges() for found in result.witness.matchings] == runs
@@ -590,7 +613,7 @@ def test_ceiling_witness_equalizes_when_m_leaves_a_remainder(monkeypatch):
     monkeypatch.setattr(excessive_module, "equalize", lambda c: calls.append(c) or real(c))
     g = path(40)
     result = excessive_m_index(g, 3)
-    sizes = sorted(len(cls) for cls in coloring_module._equalized_coloring(g, 2).matchings)
+    sizes = sorted(len(cls) for cls in coloring_module._chi_coloring(g).matchings)
     assert sizes == [19, 20] and len(calls) == 1
     assert (result.value, result.rule) == (13, RULE_LEMMA_CF)
     assert all(len(found) == 3 for found in result.witness.matchings)
@@ -618,9 +641,9 @@ def test_equal_but_distinct_graphs_compute_their_own_values():
     first, second = petersen(), petersen()
     assert first == second and first is not second
     expected = (chromatic_index(first), excessive_m_index(first, 5))
-    misses = chromatic_index.cache_info().misses, excessive_m_index.cache_info().misses
+    misses = coloring_module._chi_coloring.cache_info().misses, excessive_m_index.cache_info().misses
     assert (chromatic_index(second), excessive_m_index(second, 5)) == expected
-    assert (chromatic_index.cache_info().misses, excessive_m_index.cache_info().misses) == (
+    assert (coloring_module._chi_coloring.cache_info().misses, excessive_m_index.cache_info().misses) == (
         misses[0] + 1,
         misses[1] + 1,
     )
@@ -647,11 +670,11 @@ def test_budget_abort_in_chromatic_index_stores_nothing():
     only the maximum matching, which completed, on the graph."""
     g = petersen()
     maximum_matching(g)
-    sizes = chromatic_index.cache_info().currsize, coloring_module._equalized_coloring.cache_info().currsize
+    size = coloring_module._chi_coloring.cache_info().currsize
     with pytest.raises(BudgetExceededError), time_budget(0):
         chromatic_index(g)
     assert {key[0] for key in g._memo} == {maximum_matching}
-    assert (chromatic_index.cache_info().currsize, coloring_module._equalized_coloring.cache_info().currsize) == sizes
+    assert coloring_module._chi_coloring.cache_info().currsize == size
     assert chromatic_index(g) == 4
 
 
