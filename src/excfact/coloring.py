@@ -193,7 +193,6 @@ def _chi_coloring(g: SimpleGraph) -> Covering:
     return equalize(found)
 
 
-@_graph_memo
 def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> Covering:
     """Edge colouring with the fewest colours subject to class sizes <= m.
 

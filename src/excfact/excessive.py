@@ -109,7 +109,8 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     ``t = k*m - |E|`` lexicographically smallest edges of its first class in
     a fresh class: ``t > 0`` forces ``k > chi'`` so a colour is free.
     Equalizing the padded colouring makes every class size exactly
-    ``k*m / k = m``, and its classes are the covering.
+    ``k*m / k = m``, and its classes are the covering.  The one caller,
+    :func:`excessive_m_index`, verifies it at [m, m].
     """
     edge_total = g.edge_count
     psi = _chi_coloring(g)
@@ -118,21 +119,17 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
         raise InvariantError("the ceiling witness needs |E| >= m * chi' > 0")
     if all(len(cls) % m == 0 for cls in psi.matchings):
         runs = [cls.sorted_edges() for cls in psi.matchings]
-        witness = Covering(tuple(Matching(frozenset(r[i : i + m])) for r in runs for i in range(0, len(r), m)))
-    else:
-        k = ceil(edge_total / m)
-        t = k * m - edge_total
-        if t and k <= chi:
-            raise InvariantError("padding is only ever needed when a fresh colour exists")
-        donor = psi.matchings[0].sorted_edges()
-        if not len(donor) >= m > t:
-            raise InvariantError("the first class cannot donate the padding edges")
-        padding = (Matching(frozenset(donor[:t])),) if t else ()
-        classes = psi.matchings + padding + tuple(Matching() for _ in range(k - chi - len(padding)))
-        witness = equalize(Covering(classes))
-    if any(len(cls) != m for cls in witness.matchings):
-        raise InvariantError("the ceiling witness has a matching whose size is not m")
-    return witness
+        return Covering(tuple(Matching(frozenset(r[i : i + m])) for r in runs for i in range(0, len(r), m)))
+    k = ceil(edge_total / m)
+    t = k * m - edge_total
+    if t and k <= chi:
+        raise InvariantError("padding is only ever needed when a fresh colour exists")
+    donor = psi.matchings[0].sorted_edges()
+    if not len(donor) >= m > t:
+        raise InvariantError("the first class cannot donate the padding edges")
+    padding = (Matching(frozenset(donor[:t])),) if t else ()
+    classes = psi.matchings + padding + tuple(Matching() for _ in range(k - chi - len(padding)))
+    return equalize(Covering(classes))
 
 
 def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
@@ -195,7 +192,10 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
 
     The ratio is compared with l and m by cross-multiplication, never in
     floating point.  At the ratio l the chromatic-index branch overlaps the
-    [l]-index; both are evaluated and must agree.
+    [l]-index; both are evaluated and must agree.  The chi'-colouring
+    witness is verified here; the other branches return an
+    :func:`excessive_m_index` witness, verified there at [m, m] or [l, l],
+    and a [k]-covering with l <= k <= m is an [l,m]-covering.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
@@ -208,18 +208,16 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
         value = ceil(edge_total / m)
         if base.value != value:
             raise InvariantError("[m]-index disagrees with ceil(|E|/m)")
-        result = IndexResult(value, base.witness, RULE_FORMULA_CEIL)
-    elif l * chi <= edge_total:
-        witness = _chi_coloring(g)
-        if edge_total == l * chi and excessive_m_index(g, l).value != chi:  # overlap with the fixed-size branch
-            raise InvariantError("chromatic-index branch disagrees with the [l]-index")
-        result = IndexResult(chi, witness, RULE_FORMULA_CHI)
-    else:
+        return IndexResult(value, base.witness, RULE_FORMULA_CEIL)
+    if edge_total < l * chi:
         base = excessive_m_index(g, l)
-        result = IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
-    if not verify_covering(g, result.witness, l, m):
+        return IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
+    witness = _chi_coloring(g)
+    if edge_total == l * chi and excessive_m_index(g, l).value != chi:  # overlap with the fixed-size branch
+        raise InvariantError("chromatic-index branch disagrees with the [l]-index")
+    if not verify_covering(g, witness, l, m):
         raise InvariantError(f"[{l},{m}]-index witness is not a covering")
-    return result
+    return IndexResult(chi, witness, RULE_FORMULA_CHI)
 
 
 def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
@@ -233,7 +231,9 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     equals the excessive [l]-index.  The chi'-colouring is the one that
     :func:`excessive_lm_index` also reads; this route's independence lies in
     its case analysis, which shares nothing with the closed form, so
-    agreement between the two cross-validates the split.
+    agreement between the two cross-validates the split.  The m-bounded
+    colouring is verified here; the [l]-index witness was verified at
+    [l, l] by :func:`excessive_m_index`.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
@@ -243,18 +243,16 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     chi = chromatic_index(g)
     bounded_l = max(chi, ceil(edge_total / l))
     bounded_m = max(chi, ceil(edge_total / m))
-    if bounded_m < bounded_l:
-        witness = optimal_m_bounded_coloring(g, m)
-        rule = RULE_FORMULA_CEIL if ceil(edge_total / m) > chi else RULE_FORMULA_CHI
-        result = IndexResult(bounded_m, witness, rule)
-    else:
+    if bounded_m >= bounded_l:
         base = excessive_m_index(g, l)
         if not base.finite:
             return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
-        result = IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
-    if not verify_covering(g, result.witness, l, m):
+        return IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
+    witness = optimal_m_bounded_coloring(g, m)
+    if not verify_covering(g, witness, l, m):
         raise InvariantError(f"two-branch witness is not an [{l},{m}]-covering")
-    return result
+    rule = RULE_FORMULA_CEIL if ceil(edge_total / m) > chi else RULE_FORMULA_CHI
+    return IndexResult(bounded_m, witness, rule)
 
 
 def lm_index_via_pairs(g: SimpleGraph, l: int, m: int) -> int | float:

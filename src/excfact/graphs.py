@@ -5,15 +5,15 @@ Vertices are 0-indexed integers and an edge is stored as the pair
 semantics.  Every type here is immutable and hashable, which makes the whole
 library safe to share between threads.
 
-Per-graph invariants (the matching number, the chromatic index, the
-equalized colourings, the [m]-indices) are memoised on the graph object
-itself: each :class:`SimpleGraph` holds a private table outside its fields,
-filled by the functions decorated with :func:`_graph_memo`.  An entry lives
-exactly as long as its graph, so a long sweep runs in flat memory, and two
-equal but distinct graphs do not share entries.  Threads stay safe: an
-entry is one dict item, written once a value is complete, and two threads
-that race on the same key each compute an equal value and one of them is
-kept.
+Per-graph invariants (the maximum matching, whether every edge lies in a
+maximum matching, the equalized chi'-colouring, the [m]-indices) are
+memoised on the graph object itself: each :class:`SimpleGraph` holds a
+private table outside its fields, filled by the four functions decorated
+with :func:`_graph_memo`.  An entry lives exactly as long as its graph, so
+a long sweep runs in flat memory, and two equal but distinct graphs do not
+share entries.  Threads stay safe: an entry is one dict item, written once
+a value is complete, and two threads that race on the same key each
+compute an equal value and one of them is kept.
 """
 
 from __future__ import annotations
@@ -144,14 +144,6 @@ class Matching(_Value):
         object.__setattr__(self, "edges", canonical)
         if len({x for e in canonical for x in e}) != 2 * len(canonical):
             raise PreconditionError("edges of a matching must be vertex-disjoint")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.edges == other.edges
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.edges,))
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -16,7 +16,7 @@ vertex), so its witness does not depend on how much it prunes; see
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import excessive as _excessive
 from .budget import check_budget
@@ -240,32 +240,37 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
     """Compare the closed form, the two-branch algorithm, the pairwise
     reduction, and the brute-force minimum cover on every graph in scope.
 
-    A graph's windows share its work: its matchings are enumerated once and
-    filtered by size per window, which keeps each window's candidates in
-    canonical order, and the pairwise route is the minimum of the closed
-    form's [i,i+1] values, the expression ``lm_index_via_pairs`` evaluates.
-    The largest matching found has nu edges, so the windows with one key
+    A graph's windows, visited in order with one budget check each, share
+    its work: its matchings are enumerated once and filtered by size per
+    window, which keeps each window's candidates in canonical order, and
+    the pairwise route is a running minimum of the closed form's [i,i+1]
+    values, the expression ``lm_index_via_pairs`` evaluates.  The largest
+    matching found has nu edges, so the windows with one key
     ``(min(l, nu + 1), min(m, nu))`` have the same candidates, and they share
     the brute-force search of the first of them, whose result depends only on
     the graph and the candidates (see :func:`min_cover_bruteforce`).
     Returns one record per disagreement (expected: none); each route verifies its own witnesses.
     """
     records: list[dict] = []
-    windows = [(l, m) for l in range(1, config.max_m + 1) for m in range(l, config.max_m + 1)]
     for g in _sweep_graphs(config):
         masks = _matching_masks(g.sorted_edges(), 1, config.max_m, 1_000_000)
         nu = max(map(int.bit_count, masks), default=0)
-        formula = {(l, m): _excessive.excessive_lm_index(g, l, m).value for l, m in windows}
+        pair_values: list[int | float] = []  # [i - 1]: the closed form's [i, i+1] value, filled while l = 1
         references: dict[tuple[int, int], int | float] = {}
-        for l, m in windows:
+        for l, m in combinations_with_replacement(range(1, config.max_m + 1), 2):  # l <= m, in order
+            check_budget()
             key = (min(l, nu + 1), min(m, nu))
             if key not in references:
                 candidates = [mask for mask in masks if l <= mask.bit_count() <= m]
                 references[key] = min_cover_bruteforce(g, l, m, candidates=candidates).value
             reference = references[key]
-            routes = [("formula", formula[l, m]), ("exc", _excessive.exc_algorithm(g, l, m).value)]
+            if l == 1 < m:
+                pair_values.append(_excessive.excessive_lm_index(g, m - 1, m).value)
+            formula = pair_values[l - 1] if m == l + 1 else _excessive.excessive_lm_index(g, l, m).value
+            routes = [("formula", formula), ("exc", _excessive.exc_algorithm(g, l, m).value)]
             if l < m:
-                routes.append(("pairs", min(formula[i, i + 1] for i in range(l, m))))
+                pairs = formula if m == l + 1 else min(pairs, pair_values[m - 2])
+                routes.append(("pairs", pairs))
             for check, value in routes:
                 if value != reference:
                     records.append({"graph6": encode_graph6(g), "l": l, "m": m, "main": _json_value(value),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -339,6 +340,18 @@ def test_sweep_budget_exceeded_exit_code():
     assert proc.returncode == 3
     assert json.loads(proc.stdout) == {"format_version": 1, "outcome": "budget_exceeded"}
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_sweep_at_large_max_m_stops_on_budget():
+    """Windows are visited one at a time with a budget check each, so a
+    sweep with 1,280,800 windows on each of the zero- and one-vertex graphs
+    stops on the budget at once rather than after building every window."""
+    start = time.monotonic()
+    proc = _run_subprocess(["sweep", "--max-vertices", "1", "--max-m", "1600", "--budget-ms", "100"])
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {"format_version": 1, "outcome": "budget_exceeded"}
+    assert elapsed < 0.5, elapsed
 
 
 @pytest.mark.parametrize("flags", [["--max-m", "0"], ["--max-m", "-1"], ["--max-vertices", "-2"]])

@@ -425,8 +425,8 @@ def test_lm_windows_reproduce_golden_witnesses():
 
 def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
     """The m-bounded branch of the two-branch route takes its witness from the
-    memo; it must equal the covering of the public optimal m-bounded
-    colouring, matchings in the same order."""
+    public optimal m-bounded colouring; the two coverings must be equal,
+    matchings in the same order."""
     rng = random.Random(4)
     graphs = [petersen()] + [random_graph(rng, rng.choice((6, 7, 8))) for _ in range(60)]
     above_chi_seen = set()
@@ -438,7 +438,6 @@ def test_exc_algorithm_witness_is_the_optimal_m_bounded_covering():
                 result = exc_algorithm(g, l, m)
                 expected = optimal_m_bounded_coloring(g, m)
                 assert covering_to_json(result.witness) == covering_to_json(expected), (g, l, m)
-                assert result.witness is expected, (g, l, m)
                 above_chi_seen.add(ceil(g.edge_count / m) > chromatic_index(g))
     assert above_chi_seen == {False, True}  # both k = chi' and k > chi' occur
 
@@ -454,7 +453,7 @@ def test_m_bounded_colouring_above_chi_is_padded_inside_the_budget():
     assert (g.edge_count, chromatic_index(g), len(maximum_matching(g))) == (75, 3, 25)
     assert (result.value, result.rule) == (4, RULE_FORMULA_CEIL)
     assert verify_covering(g, result.witness, 1, 19)
-    assert result.witness is optimal_m_bounded_coloring(g, 19)
+    assert covering_to_json(result.witness) == covering_to_json(optimal_m_bounded_coloring(g, 19))
 
 
 def test_cold_pass_colours_each_graph_once(monkeypatch):
@@ -523,16 +522,52 @@ def test_unverified_witness_raises_invariant_error(monkeypatch):
         small_graph_sweep(SweepConfig(max_vertices=2, max_m=1))
 
 
+def _drop_one_edge(c: Covering) -> Covering:
+    first, *rest = c.matchings
+    return Covering((Matching(frozenset(first.sorted_edges()[1:])), *rest))
+
+
+@pytest.mark.parametrize(
+    "target, route, rule",
+    [
+        pytest.param("_ceil_witness", lambda g: excessive_m_index(g, 1), RULE_LEMMA_CF, id="ceil-m"),
+        pytest.param("_ceil_witness", lambda g: excessive_lm_index(g, 1, 2), RULE_FORMULA_CEIL, id="ceil-lm"),
+        pytest.param("_ceil_witness", lambda g: exc_algorithm(g, 1, 1), RULE_FORMULA_EXC_L, id="ceil-exc"),
+        pytest.param("_search_m_index", lambda g: excessive_m_index(g, 5), RULE_SEARCH, id="search-m"),
+        pytest.param("_search_m_index", lambda g: excessive_lm_index(g, 4, 5), RULE_FORMULA_EXC_L, id="search-lm"),
+        pytest.param("_search_m_index", lambda g: exc_algorithm(g, 4, 5), RULE_FORMULA_EXC_L, id="search-exc"),
+    ],
+)
+def test_one_verification_guards_every_pass_through_route(monkeypatch, target, route, rule):
+    """Every route that returns an [m]-index witness relies on the one
+    verification inside ``excessive_m_index``: a witness with one edge
+    dropped, from either construction, must raise on each of them."""
+    assert route(petersen()).rule == rule
+    for f in excfact_memos():
+        f.cache_clear()
+    real = getattr(excessive_module, target)
+
+    def broken(g, m):
+        found = real(g, m)
+        if target == "_ceil_witness":
+            return _drop_one_edge(found)
+        k, witness = found
+        return k, _drop_one_edge(witness)
+
+    monkeypatch.setattr(excessive_module, target, broken)
+    with pytest.raises(InvariantError):
+        route(petersen())
+
+
 def test_memos_hold_per_graph_values_only():
     """A SEARCH-rule index leaves no per-window or per-class entries behind:
-    every entry in the graph's table is one of the five per-graph memos,
+    every entry in the graph's table is one of the four per-graph memos,
     called with nothing or with one m, and the colouring search's admission
     memo is dropped when the search returns."""
     per_graph = {
         maximum_matching,
         matching_module._nu_coverable,
         coloring_module._chi_coloring,
-        coloring_module.optimal_m_bounded_coloring,
         excessive_m_index,
     }
     g = petersen()
