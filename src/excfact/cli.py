@@ -93,6 +93,8 @@ def _cmd_analyze(args) -> int:
 
     if not args.compat and not args.coherence:
         raise ParameterError("nothing to do: pass --compat and/or --coherence")
+    if args.coherence and (args.l is None or args.m is None):
+        raise ParameterError("--coherence requires --l and --m")
     g = _load_graph(args.graph)
     out: dict = {"format_version": FORMAT_VERSION}
     try:
@@ -102,8 +104,6 @@ def _cmd_analyze(args) -> int:
                     compatibility_report(g, args.max_m)
                 )
             if args.coherence:
-                if args.l is None or args.m is None:
-                    raise ParameterError("--coherence requires --l and --m")
                 out["coherence"] = coherence_report_to_json(coherence_report(g, args.l, args.m))
     except BudgetExceededError:
         return _budget_exceeded()

@@ -23,15 +23,16 @@ from .matching import maximum_matching
 
 def _color_in_order(
     edges: list[Edge], vertex_count: int, k: int, admits: Callable[[int], bool] | None = None
-) -> tuple[frozenset[Edge], ...] | None:
-    """The k colour classes of the first proper colouring found, or None.
+) -> tuple[int, ...] | None:
+    """The k colour classes of the first proper colouring found, as bitmasks
+    over indices into ``edges``, or None.
 
     Edges are coloured in the given order, lowest feasible colour first, by
     backtracking over an explicit index (no recursion, so the depth is not
     bounded by the interpreter stack).  Colours are introduced in increasing
-    order.  Classes are bitmasks over indices into ``edges``;
-    ``admits``, if given, sees a class with the current edge joined and may
-    reject that colour.  The budget is checked once per search node entered.
+    order.  ``admits``, if given, sees a class with the current edge joined
+    and may reject that colour.  The budget is checked once per search node
+    entered.
     """
     n = len(edges)
     masks = [0] * vertex_count
@@ -73,10 +74,7 @@ def _color_in_order(
             if i == 0:
                 return None
             i -= 1
-    found: list[set[Edge]] = [set() for _ in range(k)]
-    for e, c in zip(edges, assign):
-        found[c - 1].add(e)
-    return tuple(frozenset(cls) for cls in found)
+    return tuple(classes)
 
 
 def find_k_edge_coloring(g: SimpleGraph, k: int) -> Covering | None:
@@ -93,13 +91,17 @@ def find_k_edge_coloring(g: SimpleGraph, k: int) -> Covering | None:
     # this settles dense infeasible cases fast
     if k * len(maximum_matching(g)) < g.edge_count:
         return None
-    classes = _color_in_order(g.sorted_edges(), g.vertex_count, k)
+    edges = g.sorted_edges()
+    classes = _color_in_order(edges, g.vertex_count, k)
     if classes is None:
         return None
-    # one comparison: no class holds a non-edge and every edge is coloured
-    if frozenset().union(*classes) != g.edges:
+    coloured = 0
+    for cls in classes:
+        coloured |= cls
+    # one comparison: every edge is coloured and no index lies past the last edge
+    if coloured != (1 << len(edges)) - 1:
         raise InvariantError("the colour classes do not cover exactly the edge set")
-    return Covering(tuple(Matching(cls) for cls in classes))
+    return Covering(tuple(Matching(frozenset(e for j, e in enumerate(edges) if cls >> j & 1)) for cls in classes))
 
 
 def chromatic_index(g: SimpleGraph) -> int:
@@ -198,9 +200,10 @@ def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> Covering:
 
     ``k = max(chi', ceil(|E|/m))`` colours are always enough, and fewer are
     impossible: the chi'-colouring padded with ``k - chi'`` empty classes
-    and equalized has classes of size at most ``ceil(|E|/k) <= m``.  Public
-    as the paper's optimal m-bounded colouring, which the acceptance gate
-    checks.
+    and equalized has classes of size at most ``ceil(|E|/k) <= m``, which
+    :func:`equalize` checks (at ``k = chi'`` the chi'-colouring is itself
+    equalized).  Public as the paper's optimal m-bounded colouring, which
+    the acceptance gate checks.
     """
     if m < 1:
         raise ParameterError("m must be at least 1")
@@ -208,7 +211,4 @@ def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> Covering:
         raise ParameterError("graph has no edges")
     psi = _chi_coloring(g)
     k = max(len(psi), ceil(g.edge_count / m))
-    colouring = equalize(Covering(psi.matchings + (Matching(),) * (k - len(psi)))) if k > len(psi) else psi
-    if max(len(cls) for cls in colouring.matchings) > m:
-        raise InvariantError(f"no {k}-colouring with classes of size at most {m}")
-    return colouring
+    return equalize(Covering(psi.matchings + (Matching(),) * (k - len(psi)))) if k > len(psi) else psi

@@ -107,27 +107,21 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
     every class size (always at m = 1), cutting each class, in sorted edge
     order, into runs of m edges gives the covering.  Otherwise repeat the
     ``t = k*m - |E|`` lexicographically smallest edges of its first class in
-    a fresh class: ``t > 0`` forces ``k > chi'`` so a colour is free.
-    Equalizing the padded colouring makes every class size exactly
-    ``k*m / k = m``, and its classes are the covering.  The one caller,
-    :func:`excessive_m_index`, verifies it at [m, m].
+    a fresh class: ``t > 0`` forces ``k > chi'`` so a colour is free, and
+    ``t < m`` edges are fewer than the first class holds.  Equalizing the
+    padded colouring makes every class size exactly ``k*m / k = m``, and its
+    classes are the covering.  The one caller, :func:`excessive_m_index`,
+    tests ``|E| >= m * chi' > 0`` and verifies the witness at [m, m].
     """
     edge_total = g.edge_count
     psi = _chi_coloring(g)
     chi = len(psi)
-    if edge_total < m * chi or edge_total == 0:
-        raise InvariantError("the ceiling witness needs |E| >= m * chi' > 0")
     if all(len(cls) % m == 0 for cls in psi.matchings):
         runs = [cls.sorted_edges() for cls in psi.matchings]
         return Covering(tuple(Matching(frozenset(r[i : i + m])) for r in runs for i in range(0, len(r), m)))
     k = ceil(edge_total / m)
     t = k * m - edge_total
-    if t and k <= chi:
-        raise InvariantError("padding is only ever needed when a fresh colour exists")
-    donor = psi.matchings[0].sorted_edges()
-    if not len(donor) >= m > t:
-        raise InvariantError("the first class cannot donate the padding edges")
-    padding = (Matching(frozenset(donor[:t])),) if t else ()
+    padding = (Matching(frozenset(psi.matchings[0].sorted_edges()[:t])),) if t else ()
     classes = psi.matchings + padding + tuple(Matching() for _ in range(k - chi - len(padding)))
     return equalize(Covering(classes))
 
@@ -141,30 +135,31 @@ def _search_m_index(g: SimpleGraph, m: int) -> tuple[int, Covering]:
     the equalized chi'-colouring has at most m edges; when each of them
     extends, they settle k = chi' with no search.  Otherwise ``|E|`` colours
     always suffice for a coverable graph (single edges extend), so the
-    increasing search terminates.
+    increasing search terminates.  One memo, from a class's edge-index
+    bitmask to its [m]-extension or None, holds the chi'-colouring's
+    classes, answers the admission test and supplies the witness: each
+    class of the colouring found was admitted, so its extension is already
+    there.  No class is extended twice, and the memo dies with this call.
     """
-    psi = _chi_coloring(g)
-    chi = len(psi)
-    extended = [extend_to_lm_matching(g, cls, m, m) for cls in psi.matchings]
-    if None not in extended:
-        return chi, Covering(tuple(extended))
     edges = g.sorted_edges()
 
-    @lru_cache(maxsize=None)  # revisited classes, by edge-index bitmask, this search only
-    def extends(cls: int) -> bool:
-        members = frozenset(e for j, e in enumerate(edges) if cls >> j & 1)
-        return extend_to_lm_matching(g, Matching(members), m, m) is not None
+    @lru_cache(maxsize=None)
+    def extension(cls: int) -> Matching | None:
+        return extend_to_lm_matching(g, Matching(frozenset(e for j, e in enumerate(edges) if cls >> j & 1)), m, m)
 
+    psi = _chi_coloring(g)
+    chi = len(psi)
+    bit = {e: 1 << j for j, e in enumerate(edges)}
+    extended = [extension(sum(bit[e] for e in cls.edges)) for cls in psi.matchings]
+    if None not in extended:
+        return chi, Covering(tuple(extended))
     # ceil(|E|/m) <= chi' adds no bound
     for k in range(chi, g.edge_count + 1):
         classes = _color_in_order(
-            edges, g.vertex_count, k, lambda cls: cls.bit_count() <= m and extends(cls)
+            edges, g.vertex_count, k, lambda cls: cls.bit_count() <= m and extension(cls) is not None
         )
         if classes is not None:
-            extended = [extend_to_lm_matching(g, Matching(cls), m, m) for cls in classes]
-            if None in extended:
-                raise InvariantError("an admitted class does not extend to an [m]-matching")
-            return k, Covering(tuple(extended))
+            return k, Covering(tuple(extension(cls) for cls in classes))
     raise InvariantError("no covering found for a coverable graph")
 
 
@@ -191,11 +186,13 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
     """Excessive [l,m]-index via the closed form on the ratio |E|/chi'.
 
     The ratio is compared with l and m by cross-multiplication, never in
-    floating point.  At the ratio l the chromatic-index branch overlaps the
-    [l]-index; both are evaluated and must agree.  The chi'-colouring
-    witness is verified here; the other branches return an
-    :func:`excessive_m_index` witness, verified there at [m, m] or [l, l],
-    and a [k]-covering with l <= k <= m is an [l,m]-covering.
+    floating point.  At the ratio l the chromatic-index branch answers:
+    there the [l]-index is ``ceil(l * chi' / l) = chi'`` by the ceiling
+    branch of :func:`excessive_m_index`, so the two agree by arithmetic and
+    only the chi'-colouring is built.  That witness is verified here; the
+    other branches return an :func:`excessive_m_index` witness, verified
+    there at [m, m] or [l, l], and a [k]-covering with l <= k <= m is an
+    [l,m]-covering.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
@@ -213,8 +210,6 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
         base = excessive_m_index(g, l)
         return IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
     witness = _chi_coloring(g)
-    if edge_total == l * chi and excessive_m_index(g, l).value != chi:  # overlap with the fixed-size branch
-        raise InvariantError("chromatic-index branch disagrees with the [l]-index")
     if not verify_covering(g, witness, l, m):
         raise InvariantError(f"[{l},{m}]-index witness is not a covering")
     return IndexResult(chi, witness, RULE_FORMULA_CHI)

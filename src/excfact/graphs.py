@@ -320,11 +320,12 @@ def _g6_encode_count(n: int) -> str:
 
 def encode_graph6(g: SimpleGraph) -> str:
     n = g.vertex_count
+    count = _g6_encode_count(n)  # rejects a too-large count before the payload is allocated
     payload = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))  # "?" is the character of no set bit
     for i, j in g.edges:
         bit = j * (j - 1) // 2 + i
         payload[bit // 6] += 32 >> (bit % 6)  # edges are distinct, so adding sets the bit
-    return _g6_encode_count(n) + payload.decode("ascii")
+    return count + payload.decode("ascii")
 
 
 def parse_graph6(text: str) -> SimpleGraph:

@@ -64,6 +64,8 @@ def test_compatibility_function_errors():
         compatibility_function(empty(2), 1)
     with pytest.raises(ParameterError):
         compatibility_function(cycle(4), 0)
+    with pytest.raises(ParameterError):
+        compatibility_report(cycle(4), 0)
 
 
 def test_compatibility_function_scans_no_l_above_the_matching_number(monkeypatch, petersen_graph):

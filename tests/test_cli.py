@@ -131,6 +131,8 @@ def test_analyze_requires_a_report(capsys, petersen_file):
         (["index", "--l", "1", "--m", "abc"], "--m expects an integer or 'inf'"),
         (["index", "--l", "0", "--m", "1"], "--l must be at least 1"),
         (["analyze", "--coherence"], "--coherence requires --l and --m"),
+        # rejected before the graph is read or the budget starts, so no report is built
+        (["analyze", "--compat", "--coherence", "--budget-ms", "0"], "--coherence requires --l and --m"),
     ],
 )
 def test_usage_errors_exit_one_with_the_message(capsys, petersen_file, flags, message):

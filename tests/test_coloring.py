@@ -79,14 +79,18 @@ def test_coloring_type_rejects_adjacent_same_colour():
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda classes: (classes[0] - {min(classes[0])},) + classes[1:],  # an edge never coloured
-        lambda classes: classes[:1] + (classes[1] | {(0, 3)},) + classes[2:],  # a non-edge coloured
+        # an edge never coloured: clear the lowest bit of the first class
+        lambda classes, n: (classes[0] & classes[0] - 1,) + classes[1:],
+        # a non-edge coloured: set the bit of index n, one past the last edge
+        lambda classes, n: classes[:1] + (classes[1] | 1 << n,) + classes[2:],
     ],
     ids=["uncoloured-edge", "non-edge"],
 )
 def test_find_k_edge_coloring_checks_its_classes_are_the_edge_set(monkeypatch, corrupt):
+    """The search returns its classes as bitmasks over edge indices; their
+    union must be exactly the indices of the edges."""
     real = coloring_module._color_in_order
-    monkeypatch.setattr(coloring_module, "_color_in_order", lambda *args: corrupt(real(*args)))
+    monkeypatch.setattr(coloring_module, "_color_in_order", lambda edges, *args: corrupt(real(edges, *args), len(edges)))
     with pytest.raises(InvariantError, match="edge set"):
         find_k_edge_coloring(path(4), 2)
 

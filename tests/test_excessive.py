@@ -225,6 +225,8 @@ def test_lm_index_parameter_errors():
         excessive_lm_index(cycle(4), 0, 2)
     with pytest.raises(ParameterError):
         excessive_lm_index(cycle(4), 3, 2)
+    with pytest.raises(ParameterError):
+        excessive_m_index(cycle(4), 0)
 
 
 def test_lm_index_matches_oracle_small():

@@ -77,7 +77,7 @@ def test_parse_edge_list_comments_and_blanks():
 
 @pytest.mark.parametrize(
     "text",
-    ["0 0", "0 x", "0", "0 1 2", "n 2\n0 5", "n 1\nn 2", "-1 2", "1_0 2", "\u0661 \u0662", "n 1_0\n0 1"],
+    ["0 0", "0 x", "0", "0 1 2", "n", "n 1 2", "n 2\n0 5", "n 1\nn 2", "-1 2", "1_0 2", "\u0661 \u0662", "n 1_0\n0 1"],
 )
 def test_parse_edge_list_rejects(text):
     with pytest.raises(FormatError):
@@ -128,6 +128,12 @@ def test_graph6_rejects_malformed(text):
 def test_graph6_eight_byte_count_names_the_vertex_cap():
     with pytest.raises(FormatError, match="258047"):
         parse_graph6("~~???~??")
+
+
+def test_graph6_encoder_rejects_a_count_past_the_cap_before_building_the_payload():
+    # the payload of 258,048 vertices would take about 5.5 GB
+    with pytest.raises(FormatError, match="too large"):
+        encode_graph6(SimpleGraph(258_048))
 
 
 def test_graph6_round_trip_exhaustive_small():
