@@ -43,11 +43,10 @@ def _load_graph(path_text: str) -> SimpleGraph:
     return parse(_read_text(path_text))
 
 
-def _parse_m(token: str, l: int, edge_count: int) -> int:
+def _parse_m(token: str) -> int | None:
+    """``--m`` as an integer, or None for ``inf``, which needs the graph."""
     if token == "inf":
-        # matchings never exceed the edge count, so this cap is exact;
-        # max() keeps the window nonempty on edgeless graphs
-        return max(edge_count, l)
+        return None
     try:
         return int(token)
     except ValueError:
@@ -65,10 +64,14 @@ def _budget_exceeded(**extra) -> int:
 
 
 def _cmd_index(args) -> int:
-    g = _load_graph(args.graph)
     if args.l < 1:
         raise ParameterError("--l must be at least 1")
-    m = _parse_m(args.m, args.l, g.edge_count)
+    m = _parse_m(args.m)  # both checks come before the graph is read
+    g = _load_graph(args.graph)
+    if m is None:
+        # matchings never exceed the edge count, so this cap is exact;
+        # max() keeps the window nonempty on edgeless graphs
+        m = max(g.edge_count, args.l)
     try:
         with time_budget(args.budget_ms):
             if args.method == "formula":

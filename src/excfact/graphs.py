@@ -90,18 +90,20 @@ class _Value:
 class SimpleGraph(_Value):
     """Finite undirected graph without loops or parallel edges.
 
-    ``_memo`` is the graph's memo table (see :func:`_graph_memo`); it is not
-    a field, so equality, hash, ``repr``, pickling and copying ignore it, and
-    a copy starts with an empty table.
+    ``_memo`` is the graph's memo table (see :func:`_graph_memo`) and
+    ``_sorted`` its edges in sorted order, kept by :meth:`sorted_edges`; they
+    are not fields, so equality, hash, ``repr``, pickling and copying ignore
+    them, and a copy starts with an empty table and no sorted order.
     """
 
-    __slots__ = ("vertex_count", "edges", "_memo")
+    __slots__ = ("vertex_count", "edges", "_memo", "_sorted")
     _fields = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: frozenset[Edge] = frozenset()) -> None:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_sorted", None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -120,7 +122,10 @@ class SimpleGraph(_Value):
         return len(self.edges)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        """The edges in sorted order, as a new list; the order is sorted once per graph."""
+        if self._sorted is None:
+            object.__setattr__(self, "_sorted", tuple(sorted(self.edges)))
+        return list(self._sorted)
 
     def max_degree(self) -> int:
         counts = Counter()

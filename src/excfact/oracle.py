@@ -205,7 +205,8 @@ def random_graph(rng: random.Random, n: int) -> SimpleGraph:
 
 class SweepConfig(_Value):
     """Scope of :func:`small_graph_sweep`; ``samples_per_size`` random graphs
-    are drawn for each vertex count above ``exhaustive_limit``."""
+    are drawn for each vertex count above ``exhaustive_limit``.  It counts
+    draws: the sweep checks a repeated draw once."""
 
     __slots__ = _fields = ("max_vertices", "max_m", "seed", "samples_per_size", "exhaustive_limit")
 
@@ -249,10 +250,18 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
     ``(min(l, nu + 1), min(m, nu))`` have the same candidates, and they share
     the brute-force search of the first of them, whose result depends only on
     the graph and the candidates (see :func:`min_cover_bruteforce`).
+    A random sample equal to one already swept is skipped: every route is
+    deterministic, so its records would repeat the first copy's.
     Returns one record per disagreement (expected: none); each route verifies its own witnesses.
     """
     records: list[dict] = []
+    swept: set[str] = set()  # graph6 strings, not graphs, which would keep their memos alive
     for g in _sweep_graphs(config):
+        code = encode_graph6(g)
+        if g.vertex_count > config.exhaustive_limit:  # only samples repeat
+            if code in swept:
+                continue
+            swept.add(code)
         masks = _matching_masks(g.sorted_edges(), 1, config.max_m, 1_000_000)
         nu = max(map(int.bit_count, masks), default=0)
         pair_values: list[int | float] = []  # [i - 1]: the closed form's [i, i+1] value, filled while l = 1
@@ -273,6 +282,6 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
                 routes.append(("pairs", pairs))
             for check, value in routes:
                 if value != reference:
-                    records.append({"graph6": encode_graph6(g), "l": l, "m": m, "main": _json_value(value),
+                    records.append({"graph6": code, "l": l, "m": m, "main": _json_value(value),
                                     "oracle": _json_value(reference), "check": check})
     return records

@@ -140,6 +140,19 @@ def test_usage_errors_exit_one_with_the_message(capsys, petersen_file, flags, me
     assert code == 1 and message in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--l", "0", "--m", "1"], "--l must be at least 1"),
+        (["--l", "1", "--m", "abc"], "--m expects an integer or 'inf'"),
+    ],
+)
+def test_index_checks_its_window_flags_before_reading_the_graph(capsys, tmp_path, flags, message):
+    missing = tmp_path / "missing.el"
+    code, out, err = _run(capsys, ["index", "--graph", str(missing), *flags])
+    assert code == 1 and out == "" and err.startswith(f"error: {message}")
+
+
 def test_sweep_clean_scope_prints_nothing(capsys):
     code, out, err = _run(capsys, ["sweep", "--max-vertices", "4", "--max-m", "4"])
     assert code == 0 and out == ""

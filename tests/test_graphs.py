@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -188,6 +190,25 @@ def test_simple_graph_rejects_loops_and_range():
         SimpleGraph(3, frozenset({(1, 1)}))
     with pytest.raises(PreconditionError):
         SimpleGraph(2, frozenset({(0, 2)}))
+
+
+@given(simple_graphs())
+def test_sorted_edges_is_a_new_sorted_list_each_call(g):
+    first = g.sorted_edges()
+    assert first == sorted(g.edges)
+    first.append((-1, -1))
+    first.reverse()
+    second = g.sorted_edges()
+    assert second == sorted(g.edges) and second is not g.sorted_edges()
+
+
+def test_copies_ignore_the_sorted_edge_order():
+    g = petersen()
+    order = g.sorted_edges()
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin._sorted is None
+        assert (twin, hash(twin), repr(twin)) == (g, hash(g), repr(g))
+        assert twin.sorted_edges() == order
 
 
 def test_cycle_needs_three_vertices():

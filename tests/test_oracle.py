@@ -248,6 +248,63 @@ def test_sweep_catches_a_wrong_oracle_value_in_every_window_sharing_it(monkeypat
     assert all(r["oracle"] == r["main"] + 1 for r in records)
 
 
+#: seed 1 draws K6 four times among its 40 six-vertex samples
+REPEATING = SweepConfig(max_vertices=6, max_m=3, seed=1, samples_per_size=40)
+WINDOWS = [(l, m) for l in range(1, 4) for m in range(l, 4)]
+
+
+def test_sweep_graphs_keep_their_repeated_samples():
+    """The sweep's graph sequence, which the witness digest also reads, still
+    holds every draw; only the sweep skips repeats."""
+    codes = [encode_graph6(g) for g in oracle_module._sweep_graphs(REPEATING)]
+    assert (len(codes), len(set(codes)), codes.count(encode_graph6(complete(6)))) == (1140, 1137, 4)
+    codes = [encode_graph6(g) for g in oracle_module._sweep_graphs(SweepConfig(6, 5, seed=1, samples_per_size=500))]
+    assert (len(codes), len(set(codes))) == (1600, 1506)
+
+
+def test_sweep_runs_every_route_once_per_distinct_graph(monkeypatch):
+    calls = {"formula": [], "exc": [], "cover": []}
+    real_formula, real_exc = excessive_module.excessive_lm_index, excessive_module.exc_algorithm
+    real_cover = oracle_module.min_cover_bruteforce
+
+    def counting(name, real):
+        def wrapper(g, l, m, **kwargs):
+            calls[name].append((encode_graph6(g), l, m))
+            return real(g, l, m, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(excessive_module, "excessive_lm_index", counting("formula", real_formula))
+    monkeypatch.setattr(excessive_module, "exc_algorithm", counting("exc", real_exc))
+    monkeypatch.setattr(oracle_module, "min_cover_bruteforce", counting("cover", real_cover))
+    assert small_graph_sweep(REPEATING) == []
+    distinct = {encode_graph6(g) for g in oracle_module._sweep_graphs(REPEATING)}
+    for name in ("formula", "exc"):
+        assert sorted(calls[name]) == sorted((code, l, m) for code in distinct for l, m in WINDOWS), name
+    assert len(set(calls["cover"])) == len(calls["cover"])
+    assert {code for code, _, _ in calls["cover"]} == distinct
+
+
+def test_sweep_reports_a_wrong_value_on_a_repeated_sample_once_per_window(monkeypatch):
+    target = complete(6)
+    real_exc = excessive_module.exc_algorithm
+
+    def exc(g, l, m):
+        result = real_exc(g, l, m)
+        if g == target:
+            return excessive_module.IndexResult(
+                result.value + 1, excessive_module.Covering(result.witness.matchings + result.witness.matchings[:1]),
+                result.rule,
+            )
+        return result
+
+    monkeypatch.setattr(excessive_module, "exc_algorithm", exc)
+    records = small_graph_sweep(REPEATING)
+    assert sorted((r["graph6"], r["l"], r["m"], r["check"]) for r in records) == [
+        (encode_graph6(target), l, m, "exc") for l, m in WINDOWS
+    ]
+
+
 def test_sweep_detects_injected_bug(monkeypatch):
     real = excessive_module.excessive_lm_index
     skew = {"adjacent_only": False}
