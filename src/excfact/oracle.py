@@ -11,6 +11,12 @@ candidate of largest gain), branches in a fixed edge order and prunes only
 with valid lower bounds (uncovered edges over m, and uncovered edges at one
 vertex), so its witness does not depend on how much it prunes; see
 :func:`min_cover_bruteforce`.
+
+The sweep computes the brute-force values once per relabelling key: the
+edge set of the graph relabelled in order of (degree, sorted degrees of the
+neighbours, label).  Equal keys mean isomorphic graphs, which have the same
+minimum covers, so sharing the values is exact; the key is no canonical
+form, so some isomorphic graphs just share nothing.
 """
 
 from __future__ import annotations
@@ -237,42 +243,97 @@ def _sweep_graphs(config: SweepConfig):
             yield random_graph(rng, n)
 
 
+def _relabelling_key(g: SimpleGraph) -> tuple[int, int]:
+    """``(n, edge bitmask of g relabelled)``, where the vertices are numbered in
+    order of (degree, sorted degrees of the neighbours, label) and the pair
+    (i, j) is bit i * n + j.
+
+    A key is the edge set of a relabelling of ``g``, so graphs with equal keys
+    are isomorphic.  The key is not a canonical form: isomorphic graphs may
+    get different keys.
+    """
+    n = g.vertex_count
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    order = sorted(range(n), key=lambda v: (len(neighbours[v]), sorted(len(neighbours[w]) for w in neighbours[v])))
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    mask = 0
+    for u, v in g.edges:
+        i, j = sorted((position[u], position[v]))
+        mask |= 1 << (i * n + j)
+    return n, mask
+
+
+def _reference_rows(g: SimpleGraph, max_m: int) -> tuple[tuple[int | float, ...], ...]:
+    """Brute-force minimum [l,m]-cover values of ``g``: row l - 1 holds
+    m = l..top, where top = min(max_m, nu + 1).
+
+    The matchings are enumerated once and filtered by size per window, which
+    keeps each window's candidates in canonical order.  No matching has more
+    than nu edges, so a window (l, m) has the candidates of
+    (min(l, top), min(m, top)), and (l, nu + 1) those of (l, nu) for l <= nu;
+    it takes that value, since the brute-force result depends only on the
+    graph and the candidates (see :func:`min_cover_bruteforce`).
+    """
+    masks = _matching_masks(g.sorted_edges(), 1, max_m, 1_000_000)
+    nu = max(map(int.bit_count, masks), default=0)
+    top = min(max_m, nu + 1)
+    rows = []
+    for l in range(1, top + 1):
+        row: list[int | float] = []
+        for m in range(l, top + 1):
+            check_budget()
+            if l <= nu < m:
+                row.append(row[-1])
+            else:
+                candidates = [mask for mask in masks if l <= mask.bit_count() <= m]
+                row.append(min_cover_bruteforce(g, l, m, candidates=candidates).value)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def small_graph_sweep(config: SweepConfig) -> list[dict]:
     """Compare the closed form, the two-branch algorithm, the pairwise
     reduction, and the brute-force minimum cover on every graph in scope.
 
+    The brute-force values are computed once per relabelling key (see
+    :func:`_relabelling_key`) and shared by every later graph with that key.
+    That is exact: equal keys mean isomorphic graphs, and isomorphic graphs
+    have the same minimum [l,m]-covers; isomorphic graphs with different keys
+    just share nothing.  The key table belongs to one call and holds tuples
+    of values, never graphs.  Every other route runs on every distinct
+    labelled graph.
     A graph's windows, visited in order with one budget check each, share
-    its work: its matchings are enumerated once and filtered by size per
-    window, which keeps each window's candidates in canonical order, and
-    the pairwise route is a running minimum of the closed form's [i,i+1]
-    values, the expression ``lm_index_via_pairs`` evaluates.  The largest
-    matching found has nu edges, so the windows with one key
-    ``(min(l, nu + 1), min(m, nu))`` have the same candidates, and they share
-    the brute-force search of the first of them, whose result depends only on
-    the graph and the candidates (see :func:`min_cover_bruteforce`).
+    its work: its brute-force values come from one matching enumeration
+    (see :func:`_reference_rows`), and the pairwise route is a running
+    minimum of the closed form's [i,i+1] values, the expression
+    ``lm_index_via_pairs`` evaluates.
     A random sample equal to one already swept is skipped: every route is
     deterministic, so its records would repeat the first copy's.
     Returns one record per disagreement (expected: none); each route verifies its own witnesses.
     """
     records: list[dict] = []
     swept: set[str] = set()  # graph6 strings, not graphs, which would keep their memos alive
+    references: dict[tuple[int, int], tuple[tuple[int | float, ...], ...]] = {}
     for g in _sweep_graphs(config):
-        code = encode_graph6(g)
         if g.vertex_count > config.exhaustive_limit:  # only samples repeat
+            code = encode_graph6(g)
             if code in swept:
                 continue
             swept.add(code)
-        masks = _matching_masks(g.sorted_edges(), 1, config.max_m, 1_000_000)
-        nu = max(map(int.bit_count, masks), default=0)
+        key = _relabelling_key(g)
+        rows = references.get(key)
+        if rows is None:
+            rows = references[key] = _reference_rows(g, config.max_m)
+        top = len(rows)
         pair_values: list[int | float] = []  # [i - 1]: the closed form's [i, i+1] value, filled while l = 1
-        references: dict[tuple[int, int], int | float] = {}
         for l, m in combinations_with_replacement(range(1, config.max_m + 1), 2):  # l <= m, in order
             check_budget()
-            key = (min(l, nu + 1), min(m, nu))
-            if key not in references:
-                candidates = [mask for mask in masks if l <= mask.bit_count() <= m]
-                references[key] = min_cover_bruteforce(g, l, m, candidates=candidates).value
-            reference = references[key]
+            reference = rows[min(l, top) - 1][min(m, top) - min(l, top)]
             if l == 1 < m:
                 pair_values.append(_excessive.excessive_lm_index(g, m - 1, m).value)
             formula = pair_values[l - 1] if m == l + 1 else _excessive.excessive_lm_index(g, l, m).value
@@ -282,6 +343,6 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
                 routes.append(("pairs", pairs))
             for check, value in routes:
                 if value != reference:
-                    records.append({"graph6": code, "l": l, "m": m, "main": _json_value(value),
+                    records.append({"graph6": encode_graph6(g), "l": l, "m": m, "main": _json_value(value),
                                     "oracle": _json_value(reference), "check": check})
     return records

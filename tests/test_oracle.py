@@ -8,7 +8,9 @@ import random
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from excfact import (
     EnumerationCapError,
@@ -23,9 +25,10 @@ from excfact import (
 from excfact import excessive as excessive_module
 from excfact import oracle as oracle_module
 from excfact.analysis import find_incoherence_example
-from excfact.families import complete, cycle, empty, star
+from excfact.families import complete, cycle, empty, path, star
 from excfact.oracle import SweepConfig, enumerate_labeled_graphs, min_cover_bruteforce, random_graph, small_graph_sweep
 from oracles import all_matchings, chromatic_index_bruteforce, matching_count_by_deletion, max_matching_size_bruteforce
+from strategies import simple_graphs
 
 
 def test_all_matchings_counts(petersen_graph):
@@ -193,9 +196,9 @@ def test_sweep_config_accepts_the_smallest_scopes():
 
 
 def test_sweep_shares_each_graphs_work_across_its_windows(monkeypatch):
-    """One matching enumeration per graph, one closed-form index per
+    """One matching enumeration per relabelling key, one closed-form index per
     (graph, window): the pairwise route reads the [i,i+1] values already found,
-    and one brute-force cover per distinct candidate list of a graph."""
+    and one brute-force cover per distinct candidate list of a key's first graph."""
     calls = {"masks": 0, "formula": 0, "cover": 0}
     real_masks, real_formula = oracle_module._matching_masks, excessive_module.excessive_lm_index
     real_cover = oracle_module.min_cover_bruteforce
@@ -217,34 +220,44 @@ def test_sweep_shares_each_graphs_work_across_its_windows(monkeypatch):
     monkeypatch.setattr(oracle_module, "min_cover_bruteforce", cover)
     assert small_graph_sweep(SweepConfig(max_vertices=4, max_m=4)) == []
     graphs = sum(2 ** (n * (n - 1) // 2) for n in range(5))
-    # one search per window would be graphs * 10 = 760
-    assert calls == {"masks": graphs, "formula": graphs * 10, "cover": 221}
+    # 24 relabelling keys; one search per graph and window would be graphs * 10 = 760
+    assert calls == {"masks": 24, "formula": graphs * 10, "cover": 65}
 
 
 def test_sweep_catches_a_wrong_oracle_value_in_every_window_sharing_it(monkeypatch):
-    """A reference value that is off by one for one candidate list of one
-    graph is reported in each window with that list, and nowhere else."""
-    target = cycle(4)
+    """A reference value that is off by one for one candidate list of the one
+    graph the oracle runs on for a relabelling key is reported for every
+    labelled graph with that key, in each window with that list, and nowhere
+    else."""
+    target = path(4)
     edges = target.sorted_edges()
     masks = oracle_module._matching_masks(edges, 1, 4, 1_000_000)
     lists = {(l, m): tuple(x for x in masks if l <= x.bit_count() <= m) for l in range(1, 5) for m in range(l, 5)}
-    skewed_list = lists[2, 2]  # the two perfect matchings
+    skewed_list = lists[1, 2]  # every matching
     sharing = {window for window, candidates in lists.items() if candidates == skewed_list}
-    assert sharing == {(2, 2), (2, 3), (2, 4)}
+    assert sharing == {(1, 2), (1, 3), (1, 4)}
+    key = oracle_module._relabelling_key(target)
+    copies = {encode_graph6(g) for g in enumerate_labeled_graphs(4) if oracle_module._relabelling_key(g) == key}
+    assert len(copies) == 6  # half of the 12 labelled paths
     real_cover = oracle_module.min_cover_bruteforce
+    ran_on = set()
 
     def cover(g, l, m, *, candidates):
         result = real_cover(g, l, m, candidates=candidates)
-        if g == target and tuple(candidates) == skewed_list:
-            return excessive_module.IndexResult(
-                result.value + 1, excessive_module.Covering(result.witness.matchings + result.witness.matchings[:1]),
-                result.rule,
-            )
+        if oracle_module._relabelling_key(g) == key:
+            ran_on.add(encode_graph6(g))
+            if (l, m) == (1, 2):
+                return excessive_module.IndexResult(
+                    result.value + 1,
+                    excessive_module.Covering(result.witness.matchings + result.witness.matchings[:1]),
+                    result.rule,
+                )
         return result
 
     monkeypatch.setattr(oracle_module, "min_cover_bruteforce", cover)
     records = small_graph_sweep(SweepConfig(max_vertices=4, max_m=4))
-    assert {(r["graph6"], r["l"], r["m"]) for r in records} == {(encode_graph6(target), l, m) for l, m in sharing}
+    assert len(ran_on) == 1 and ran_on <= copies
+    assert {(r["graph6"], r["l"], r["m"]) for r in records} == {(code, l, m) for code in copies for l, m in sharing}
     assert all(r["oracle"] == r["main"] + 1 for r in records)
 
 
@@ -282,7 +295,10 @@ def test_sweep_runs_every_route_once_per_distinct_graph(monkeypatch):
     for name in ("formula", "exc"):
         assert sorted(calls[name]) == sorted((code, l, m) for code in distinct for l, m in WINDOWS), name
     assert len(set(calls["cover"])) == len(calls["cover"])
-    assert {code for code, _, _ in calls["cover"]} == distinct
+    keys = {oracle_module._relabelling_key(parse_graph6(code)) for code in distinct}
+    covered = {code for code, _, _ in calls["cover"]}
+    assert len(covered) == len(keys)
+    assert {oracle_module._relabelling_key(parse_graph6(code)) for code in covered} == keys
 
 
 def test_sweep_reports_a_wrong_value_on_a_repeated_sample_once_per_window(monkeypatch):
@@ -303,6 +319,71 @@ def test_sweep_reports_a_wrong_value_on_a_repeated_sample_once_per_window(monkey
     assert sorted((r["graph6"], r["l"], r["m"], r["check"]) for r in records) == [
         (encode_graph6(target), l, m, "exc") for l, m in WINDOWS
     ]
+
+
+def _key_graph(key: tuple[int, int]) -> nx.Graph:
+    n, mask = key
+    h = nx.empty_graph(n)
+    h.add_edges_from((i, j) for i in range(n) for j in range(i + 1, n) if mask >> (i * n + j) & 1)
+    return h
+
+
+def _nx_graph(g: SimpleGraph) -> nx.Graph:
+    h = nx.empty_graph(g.vertex_count)
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_relabelling_key_is_an_isomorphic_copy_on_every_small_graph():
+    counts = []
+    for n in range(6):
+        keys = set()
+        for g in enumerate_labeled_graphs(n):
+            key = oracle_module._relabelling_key(g)
+            assert nx.is_isomorphic(_key_graph(key), _nx_graph(g)), encode_graph6(g)
+            keys.add(key)
+        counts.append(len(keys))
+    # never below the isomorphism classes (OEIS A000088: 1, 1, 2, 4, 11, 34)
+    assert counts == [1, 1, 2, 4, 16, 58]
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_graphs(max_vertices=8))
+def test_relabelling_key_is_an_isomorphic_copy(g):
+    assert nx.is_isomorphic(_key_graph(oracle_module._relabelling_key(g)), _nx_graph(g))
+
+
+def test_sweep_shares_exact_references(monkeypatch):
+    """Every window's shared reference equals the brute-force value of the
+    graph itself: the exc route, replaced by that value, never disagrees."""
+    real_cover, real_rows = oracle_module.min_cover_bruteforce, oracle_module._reference_rows
+    filled = []
+
+    def rows(g, max_m):
+        filled.append(g)
+        return real_rows(g, max_m)
+
+    monkeypatch.setattr(excessive_module, "exc_algorithm", lambda g, l, m: real_cover(g, l, m))
+    monkeypatch.setattr(oracle_module, "_reference_rows", rows)
+    assert small_graph_sweep(SweepConfig(6, 5, seed=1, samples_per_size=500)) == []
+    assert len(filled) == 228  # relabelling keys among the 1,506 distinct graphs
+
+
+def test_sweep_reports_records_under_a_key_that_merges_non_isomorphic_graphs(monkeypatch):
+    """C6 and 2K3 have one degree sequence, but their [3,3]-indices are 2 and
+    infinity: a key that merges them makes the sweep report records."""
+    two_triangles = SimpleGraph(6, frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}))
+    monkeypatch.setattr(oracle_module, "_sweep_graphs", lambda config: iter([cycle(6), two_triangles]))
+    config = SweepConfig(6, 3)
+    assert small_graph_sweep(config) == []
+
+    def degree_sequence(g):
+        return g.vertex_count, tuple(sorted(sum(v in e for e in g.edges) for v in range(g.vertex_count)))
+
+    monkeypatch.setattr(oracle_module, "_relabelling_key", degree_sequence)
+    records = small_graph_sweep(config)
+    assert {r["graph6"] for r in records} == {encode_graph6(two_triangles)}
+    assert ("infinity", 2) in {(r["main"], r["oracle"]) for r in records if (r["l"], r["m"]) == (3, 3)}
 
 
 def test_sweep_detects_injected_bug(monkeypatch):
