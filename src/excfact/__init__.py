@@ -48,7 +48,7 @@ _HOME = {
     "optimal_m_bounded_coloring": "coloring",
     "parse_edge_list": "graphs",
     "parse_graph6": "graphs",
-    "verify_covering": "excessive",
+    "verify_covering": "graphs",
 }
 
 __all__ = list(_HOME)

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .budget import time_budget
 from .errors import BudgetExceededError, EnumerationCapError, FormatError, ParameterError, PreconditionError
-from .excessive import covering_violations, exc_algorithm, excessive_lm_index, index_result_to_json
-from .graphs import Covering, SimpleGraph, covering_from_json, parse_edge_list, parse_graph6
+from .excessive import exc_algorithm, excessive_lm_index, index_result_to_json
+from .graphs import Covering, SimpleGraph, covering_from_json, covering_violations, parse_edge_list, parse_graph6
 # analysis and oracle are imported inside the commands that run them, so the others start faster
 
 FORMAT_VERSION = 1

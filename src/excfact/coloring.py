@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 from .budget import check_budget
 from .errors import InvariantError, ParameterError
-from .graphs import Covering, Edge, Matching, SimpleGraph, _graph_memo
+from .graphs import Covering, Edge, Matching, SimpleGraph, _graph_memo, verify_covering
 from .matching import maximum_matching
 
 
@@ -185,6 +185,11 @@ def _chi_coloring(g: SimpleGraph) -> Covering:
     """The equalized chi'-colouring of ``g``: the one place a simple graph is
     coloured.  Only the maximum degree and one more colour need testing
     (Vizing); every colouring with more colours is derived from this one.
+
+    It is verified here, once per graph, as a covering with class sizes in
+    ``[floor(|E|/chi'), ceil(|E|/chi')]`` (the edgeless graph's empty
+    colouring at [0, 0]).  A window whose size range contains that one
+    takes the colouring as its witness without verifying it again.
     """
     d = g.max_degree()
     found = find_k_edge_coloring(g, d)
@@ -192,7 +197,12 @@ def _chi_coloring(g: SimpleGraph) -> Covering:
         found = find_k_edge_coloring(g, d + 1)
         if found is None:
             raise InvariantError(f"no colouring with {d + 1} colours")
-    return equalize(found)
+    psi = equalize(found)
+    chi = len(psi)
+    low, high = (g.edge_count // chi, ceil(g.edge_count / chi)) if chi else (0, 0)
+    if not verify_covering(g, psi, low, high):
+        raise InvariantError(f"the equalized chi'-colouring is not a [{low},{high}]-covering")
+    return psi
 
 
 def optimal_m_bounded_coloring(g: SimpleGraph, m: int) -> Covering:

@@ -1,5 +1,5 @@
-"""Excessive [l,m]-indices: the closed-form evaluation, the two-branch
-algorithmic route, and covering verification.
+"""Excessive [l,m]-indices: the closed-form evaluation and the two-branch
+algorithmic route.
 
 An excessive [l,m]-factorization is a minimum-cardinality multiset of
 matchings, each of size between l and m, whose union is the whole edge set.
@@ -7,7 +7,8 @@ The index (number of matchings, or infinity when no covering exists) is
 computed from the chromatic index and the ratio |E|/chi', falling back to an
 exact bounded-colouring search only in the regime the closed form does not
 cover.  Every finite result carries a witness covering, and every witness is
-verified before it is returned.
+verified once, where it is built, before it is returned (see
+:func:`~excfact.graphs.verify_covering`).
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from .coloring import (
     optimal_m_bounded_coloring,
 )
 from .errors import InvariantError, ParameterError, PreconditionError
-from .graphs import (
-    Covering,
-    Edge,
-    Matching,
-    SimpleGraph,
-    _graph_memo,
-    _Value,
-    covering_to_json,
-)
+from .graphs import Covering, Matching, SimpleGraph, _graph_memo, _Value, covering_to_json, verify_covering
 from .matching import extend_to_lm_matching, is_lm_coverable
 
 INFINITY = math.inf
@@ -73,30 +66,8 @@ class IndexResult(_Value):
         return not math.isinf(self.value)
 
 
-def covering_violations(g: SimpleGraph, c: Covering, l: int, m: int) -> list[str]:
-    """Diagnostics for why ``c`` fails to be an [l,m]-covering of ``g`` (empty if valid)."""
-    if l > m:
-        raise ParameterError(f"invalid size window [{l}, {m}]")
-    problems: list[str] = []
-    covered: set[Edge] = set()
-    edges = g.edges
-    for idx, matching in enumerate(c.matchings):
-        used = matching.edges
-        if used <= edges:
-            covered.update(used)
-        else:
-            problems.append(f"matching {idx} uses non-edges {sorted(used - edges)}")
-            covered.update(used & edges)
-        size = len(used)
-        if not l <= size <= m:
-            problems.append(f"matching {idx} has size {size} outside [{l}, {m}]")
-    if len(covered) < len(edges):  # covered holds edges of g only
-        problems.append(f"edges not covered: {sorted(edges - covered)}")
-    return problems
-
-
-def verify_covering(g: SimpleGraph, c: Covering, l: int, m: int) -> bool:
-    return not covering_violations(g, c, l, m)
+#: the one result of every window that no [l,m]-covering exists for
+_NOT_COVERABLE = IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
 
 
 def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
@@ -171,7 +142,7 @@ def excessive_m_index(g: SimpleGraph, m: int) -> IndexResult:
     if not g.edges:
         return IndexResult(0, Covering(()), RULE_LEMMA_CF)
     if not is_lm_coverable(g, m):
-        return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
+        return _NOT_COVERABLE
     if g.edge_count >= m * chromatic_index(g):
         result = IndexResult(ceil(g.edge_count / m), _ceil_witness(g, m), RULE_LEMMA_CF)
     else:
@@ -189,15 +160,18 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
     floating point.  At the ratio l the chromatic-index branch answers:
     there the [l]-index is ``ceil(l * chi' / l) = chi'`` by the ceiling
     branch of :func:`excessive_m_index`, so the two agree by arithmetic and
-    only the chi'-colouring is built.  That witness is verified here; the
-    other branches return an :func:`excessive_m_index` witness, verified
-    there at [m, m] or [l, l], and a [k]-covering with l <= k <= m is an
-    [l,m]-covering.
+    only the chi'-colouring is built.  That witness was verified where it
+    was built, with class sizes in [floor(|E|/chi'), ceil(|E|/chi')], which
+    ``l * chi' <= |E| < m * chi'`` puts inside [l, m]; the other branches
+    return an :func:`excessive_m_index` witness, verified there at [m, m]
+    or [l, l], and a [k]-covering with l <= k <= m is an [l,m]-covering.
+    Every window that no [l,m]-covering exists for gets the one shared
+    not-coverable result.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
     if not is_lm_coverable(g, l):
-        return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
+        return _NOT_COVERABLE
     edge_total = g.edge_count
     chi = chromatic_index(g)
     if edge_total >= m * chi:
@@ -209,10 +183,7 @@ def excessive_lm_index(g: SimpleGraph, l: int, m: int) -> IndexResult:
     if edge_total < l * chi:
         base = excessive_m_index(g, l)
         return IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
-    witness = _chi_coloring(g)
-    if not verify_covering(g, witness, l, m):
-        raise InvariantError(f"[{l},{m}]-index witness is not a covering")
-    return IndexResult(chi, witness, RULE_FORMULA_CHI)
+    return IndexResult(chi, _chi_coloring(g), RULE_FORMULA_CHI)
 
 
 def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
@@ -226,9 +197,14 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     equals the excessive [l]-index.  The chi'-colouring is the one that
     :func:`excessive_lm_index` also reads; this route's independence lies in
     its case analysis, which shares nothing with the closed form, so
-    agreement between the two cross-validates the split.  The m-bounded
-    colouring is verified here; the [l]-index witness was verified at
-    [l, l] by :func:`excessive_m_index`.
+    agreement between the two cross-validates the split.  A padded
+    m-bounded colouring (more than chi' colours) is verified here.  At
+    ``chi'`` colours it is the chi'-colouring itself, verified where it was
+    built with class sizes in [floor(|E|/chi'), ceil(|E|/chi')]; here
+    ``ceil(|E|/l) > chi' >= ceil(|E|/m)`` puts that range inside [l, m].
+    The [l]-index witness was verified at [l, l] by
+    :func:`excessive_m_index`, and a not-coverable [l]-index is returned
+    itself.
     """
     if l < 1 or l > m:
         raise ParameterError(f"invalid size window [{l}, {m}]")
@@ -241,13 +217,14 @@ def exc_algorithm(g: SimpleGraph, l: int, m: int) -> IndexResult:
     if bounded_m >= bounded_l:
         base = excessive_m_index(g, l)
         if not base.finite:
-            return IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
+            return base
         return IndexResult(base.value, base.witness, RULE_FORMULA_EXC_L)
     witness = optimal_m_bounded_coloring(g, m)
+    if bounded_m == chi:  # the chi'-colouring itself
+        return IndexResult(chi, witness, RULE_FORMULA_CHI)
     if not verify_covering(g, witness, l, m):
         raise InvariantError(f"two-branch witness is not an [{l},{m}]-covering")
-    rule = RULE_FORMULA_CEIL if ceil(edge_total / m) > chi else RULE_FORMULA_CHI
-    return IndexResult(bounded_m, witness, rule)
+    return IndexResult(bounded_m, witness, RULE_FORMULA_CEIL)
 
 
 def lm_index_via_pairs(g: SimpleGraph, l: int, m: int) -> int | float:

@@ -1,4 +1,4 @@
-"""Graphs, matchings, and coverings.
+"""Graphs, matchings, coverings, and covering verification.
 
 Vertices are 0-indexed integers and an edge is stored as the pair
 ``(min(u, v), max(u, v))``, so edge sets have canonical, order-independent
@@ -23,7 +23,7 @@ from collections import Counter
 from functools import wraps
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import FormatError, PreconditionError
+from .errors import FormatError, ParameterError, PreconditionError
 
 Edge = tuple[int, int]
 
@@ -192,6 +192,32 @@ class Covering(_Value):
 
     def __hash__(self) -> int:
         return hash(self.canonical())
+
+
+def covering_violations(g: SimpleGraph, c: Covering, l: int, m: int) -> list[str]:
+    """Diagnostics for why ``c`` fails to be an [l,m]-covering of ``g`` (empty if valid)."""
+    if l > m:
+        raise ParameterError(f"invalid size window [{l}, {m}]")
+    problems: list[str] = []
+    covered: set[Edge] = set()
+    edges = g.edges
+    for idx, matching in enumerate(c.matchings):
+        used = matching.edges
+        if used <= edges:
+            covered.update(used)
+        else:
+            problems.append(f"matching {idx} uses non-edges {sorted(used - edges)}")
+            covered.update(used & edges)
+        size = len(used)
+        if not l <= size <= m:
+            problems.append(f"matching {idx} has size {size} outside [{l}, {m}]")
+    if len(covered) < len(edges):  # covered holds edges of g only
+        problems.append(f"edges not covered: {sorted(edges - covered)}")
+    return problems
+
+
+def verify_covering(g: SimpleGraph, c: Covering, l: int, m: int) -> bool:
+    return not covering_violations(g, c, l, m)
 
 
 # ---------------------------------------------------------------------------

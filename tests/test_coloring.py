@@ -27,7 +27,7 @@ from excfact import (
 from excfact import coloring as coloring_module
 from excfact.budget import time_budget
 from excfact.coloring import _surplus_paths
-from excfact.excessive import covering_violations
+from excfact.graphs import covering_violations
 from excfact.families import complete, cycle, empty, path, star
 from excfact.oracle import enumerate_labeled_graphs
 from oracles import all_matchings, chromatic_index_bruteforce

@@ -52,10 +52,10 @@ from excfact.excessive import (
     RULE_NOT_COVERABLE,
     RULE_SEARCH,
     IndexResult,
-    covering_violations,
     index_result_to_json,
 )
 from excfact.families import complete, cycle, empty, path, petersen, star
+from excfact.graphs import covering_violations
 from excfact.oracle import (
     SweepConfig,
     enumerate_labeled_graphs,
@@ -559,6 +559,70 @@ def test_one_verification_guards_every_pass_through_route(monkeypatch, target, r
     monkeypatch.setattr(excessive_module, target, broken)
     with pytest.raises(InvariantError):
         route(petersen())
+
+
+@pytest.mark.parametrize(
+    "route, rule",
+    [
+        pytest.param(chromatic_index, None, id="chromatic-index"),
+        pytest.param(lambda g: excessive_lm_index(g, 3, 4), RULE_FORMULA_CHI, id="formula-chi"),
+        pytest.param(lambda g: exc_algorithm(g, 3, 4), RULE_FORMULA_CHI, id="exc-chi"),
+        pytest.param(lambda g: excessive_m_index(g, 4), RULE_SEARCH, id="search-chi"),
+    ],
+)
+def test_the_chi_colouring_is_verified_where_it_is_built(monkeypatch, route, rule):
+    """Every route that takes the memoised chi'-colouring on without
+    verifying it again relies on the one verification inside
+    ``_chi_coloring``: a colouring with one edge dropped must raise there,
+    on each of them."""
+    result = route(petersen())  # chi' = 4, and each window is answered by the chi'-colouring
+    assert result == 4 if rule is None else (result.value, result.rule) == (4, rule)
+    real = coloring_module.find_k_edge_coloring
+
+    def broken(g, k):
+        found = real(g, k)
+        return None if found is None else _drop_one_edge(found)
+
+    monkeypatch.setattr(coloring_module, "find_k_edge_coloring", broken)
+    memos = excfact_memos()
+    for f in memos:
+        f.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="chi'-colouring"):
+            route(petersen())
+    finally:
+        for f in memos:
+            f.cache_clear()
+
+
+def test_windows_answered_by_the_chi_colouring_or_no_covering_cost_arithmetic(monkeypatch):
+    """Once ``chromatic_index`` has built the chi'-colouring, a FORMULA_CHI
+    window and an ``exc_algorithm`` window answered at chi' colours make no
+    ``verify_covering`` call, and a window with no [l,m]-covering constructs
+    no ``IndexResult``, on every window l <= m <= 6 of two graphs."""
+    verified, built = [], []
+    real_verify, real_init = excessive_module.verify_covering, IndexResult.__init__
+    for module in (coloring_module, excessive_module):
+        monkeypatch.setattr(module, "verify_covering", lambda *args: verified.append(args) or real_verify(*args))
+    monkeypatch.setattr(IndexResult, "__init__", lambda self, *args: built.append(args) or real_init(self, *args))
+    seen = Counter()
+    for g in (petersen(), cycle(5)):
+        chromatic_index(g)
+        for l in range(1, 7):
+            for m in range(l, 7):
+                for route in (excessive_lm_index, exc_algorithm):
+                    verified.clear()
+                    built.clear()
+                    result = route(g, l, m)
+                    if result.rule == RULE_FORMULA_CHI:
+                        seen["chi"] += 1
+                        assert verified == [], (route.__name__, l, m)
+                    elif not result.finite:
+                        seen["not coverable"] += 1
+                        assert built == [], (route.__name__, l, m)
+    # Petersen (|E| = 15, chi' = 4, nu = 5): l <= 3 < 4 <= m, and l = m = 6;
+    # C5 (|E| = 5, chi' = 3, nu = 2): l = 1 < m, and 3 <= l; each on both routes
+    assert seen == {"chi": 2 * (9 + 5), "not coverable": 2 * (1 + 10)}
 
 
 def test_memos_hold_per_graph_values_only():
