@@ -57,43 +57,46 @@ def is_lm_compatible(g: SimpleGraph, l: int, m: int) -> bool:
 
 
 def compatibility_index(g: SimpleGraph) -> int:
-    """Largest m for which the excessive [m]-index attains its lower bound.
+    """Largest l for which the excessive [l]-index attains its lower bound.
 
-    Single-size compatibility holds on an initial interval 1..com, so a scan
-    up to the maximum matching size (beyond which indices are infinite)
-    finds it; edgeless graphs (nu = 0) get 0.
+    Compatibility at a single size is downward closed in l (McDiarmid): if
+    l >= 2 is compatible and (l-1) * chi' >= |E|, chi' matchings of size l
+    cover E with at least chi' surplus edge instances; dropping chi' of them
+    and equalizing leaves chi' matchings of size l-1 that cover E.  Else the
+    ceiling regime makes l-1 (< nu, so coverable) compatible.  The scan
+    stops at the first size that fails, never above nu; edgeless graphs get 0.
     """
     nu = len(maximum_matching(g))
-    return max((m for m in range(1, nu + 1) if is_lm_compatible(g, m, m)), default=0)
+    com = next((l - 1 for l in range(1, nu + 1) if not is_lm_compatible(g, l, l)), nu)
+    if nu and not com:
+        raise InvariantError("unreachable: [1,1]-compatibility always holds")
+    return com
 
 
 def compatibility_function(g: SimpleGraph, m: int) -> int:
-    """Largest l <= m such that the graph is [l,m]-compatible.
-
-    Always at least 1: with l = 1 the index is exactly the lower bound.
+    """Largest l <= m such that the graph is [l,m]-compatible: min(m, com), as
+    for l <= m both [l,m]- and [l,l]-compatibility mean l-coverable and
+    either l * chi' <= |E| or an [l]-index of chi'.
     """
     if m < 1:
         raise ParameterError("m must be at least 1")
     if not g.edges:
         raise ParameterError("graph has no edges")
-    for l in range(min(m, len(maximum_matching(g))), 0, -1):  # no l > nu is coverable
-        if is_lm_compatible(g, l, m):
-            return l
-    raise InvariantError("unreachable: [1,m]-compatibility always holds")
+    return min(m, compatibility_index(g))
 
 
 def compatibility_report(g: SimpleGraph, max_m: int) -> CompatibilityReport:
+    """com and the rows f(m) = min(m, com) for m = 1..max_m."""
     if max_m < 1:
         raise ParameterError("max_m must be at least 1")
     if not g.edges:
         return CompatibilityReport(com=0)
-    # no matching exceeds nu and |E| <= nu * chi', so f(m) = f(nu) for m >= nu
-    nu = len(maximum_matching(g))
+    com = compatibility_index(g)
     table = {}
     for m in range(1, max_m + 1):
         check_budget()
-        table[m] = compatibility_function(g, m) if m <= nu else table[nu]
-    return CompatibilityReport(com=compatibility_index(g), f_table=table)
+        table[m] = min(m, com)
+    return CompatibilityReport(com=com, f_table=table)
 
 
 def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
@@ -151,7 +154,7 @@ def find_incoherence_example(max_vertices: int = 8) -> SimpleGraph | None:
 def compatibility_report_to_json(report: CompatibilityReport) -> dict:
     return {
         "com": report.com,
-        "f_table": {str(m): f for m, f in sorted(report.f_table.items())},
+        "f_table": {str(m): report.f_table[m] for m in sorted(report.f_table)},
         "edgeless": report.edgeless,
     }
 
@@ -169,5 +172,5 @@ def coherence_report_to_json(report: CoherenceReport) -> dict:
 
 def f_table_csv(report: CompatibilityReport) -> str:
     lines = ["m,f"]
-    lines.extend(f"{m},{f}" for m, f in sorted(report.f_table.items()))
+    lines.extend(f"{m},{report.f_table[m]}" for m in sorted(report.f_table))
     return "\n".join(lines) + "\n"

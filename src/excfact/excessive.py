@@ -71,18 +71,17 @@ _NOT_COVERABLE = IndexResult(INFINITY, None, RULE_NOT_COVERABLE)
 
 
 def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
-    """A covering by ``ceil(|E|/m)`` matchings of size exactly m.
+    """A covering by ``k = ceil(|E|/m)`` matchings of size exactly m.
 
     Valid whenever ``|E| >= m * chi'``.  Take the memoised equalized
     chi'-colouring (all classes have at least m edges then).  When m divides
-    every class size (always at m = 1), cutting each class, in sorted edge
-    order, into runs of m edges gives the covering.  Otherwise repeat the
-    ``t = k*m - |E|`` lexicographically smallest edges of its first class in
-    a fresh class: ``t > 0`` forces ``k > chi'`` so a colour is free, and
-    ``t < m`` edges are fewer than the first class holds.  Equalizing the
-    padded colouring makes every class size exactly ``k*m / k = m``, and its
-    classes are the covering.  The one caller, :func:`excessive_m_index`,
-    tests ``|E| >= m * chi' > 0`` and verifies the witness at [m, m].
+    every class size (always at m = 1, and for the edgeless graph's empty
+    colouring), cutting each class, in sorted edge order, into runs of m
+    edges gives the covering.  Otherwise k > chi' (k = chi' would make every
+    class exactly m edges), so a padding class holding the ``k*m - |E| < m``
+    lexicographically smallest edges of the first class (perhaps none) and
+    ``k - chi' - 1`` empty classes fit; equalizing makes every class size m.
+    The one caller, :func:`excessive_m_index`, verifies it at [m, m].
     """
     edge_total = g.edge_count
     psi = _chi_coloring(g)
@@ -91,9 +90,8 @@ def _ceil_witness(g: SimpleGraph, m: int) -> Covering:
         runs = [cls.sorted_edges() for cls in psi.matchings]
         return Covering(tuple(Matching(frozenset(r[i : i + m])) for r in runs for i in range(0, len(r), m)))
     k = ceil(edge_total / m)
-    t = k * m - edge_total
-    padding = (Matching(frozenset(psi.matchings[0].sorted_edges()[:t])),) if t else ()
-    classes = psi.matchings + padding + tuple(Matching() for _ in range(k - chi - len(padding)))
+    padding = Matching(frozenset(psi.matchings[0].sorted_edges()[: k * m - edge_total]))
+    classes = psi.matchings + (padding,) + tuple(Matching() for _ in range(k - chi - 1))
     return equalize(Covering(classes))
 
 
@@ -139,8 +137,6 @@ def excessive_m_index(g: SimpleGraph, m: int) -> IndexResult:
     """Minimum number of size-m matchings covering the edge set, with witness."""
     if m < 1:
         raise ParameterError("m must be at least 1")
-    if not g.edges:
-        return IndexResult(0, Covering(()), RULE_LEMMA_CF)
     if not is_lm_coverable(g, m):
         return _NOT_COVERABLE
     if g.edge_count >= m * chromatic_index(g):

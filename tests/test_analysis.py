@@ -27,6 +27,7 @@ from excfact.analysis import (
 from excfact.budget import time_budget
 from excfact.families import cycle, empty, petersen, star
 from excfact.oracle import enumerate_labeled_graphs
+from oracles import max_matching_size_bruteforce
 
 FIXTURE = Path(__file__).parent / "data" / "incoherent_2_3.g6"
 
@@ -73,7 +74,30 @@ def test_compatibility_function_scans_no_l_above_the_matching_number(monkeypatch
     real = analysis.is_lm_compatible
     monkeypatch.setattr(analysis, "is_lm_compatible", lambda g, l, m: tried.append(l) or real(g, l, m))
     assert compatibility_function(petersen_graph, 50) == 4
-    assert tried == [5, 4]  # nu = 5: no [l,50]-covering exists for l > 5
+    assert tried == [1, 2, 3, 4, 5]  # nu = 5: no [l,50]-covering exists for l > 5
+
+
+def test_compatibility_function_is_min_of_m_and_com(petersen_graph):
+    """f(m) = min(m, com), against the definition: the largest l <= m, and
+    <= nu since no larger matching exists, with the graph [l,m]-compatible."""
+    graphs = [g for g in _small_graphs(5) if g.edges] + [petersen_graph]
+    for g in graphs:
+        nu = max_matching_size_bruteforce(g)
+        com = compatibility_index(g)
+        for m in range(1, nu + 3):
+            reference = max(l for l in range(1, min(m, nu) + 1) if is_lm_compatible(g, l, m))
+            assert compatibility_function(g, m) == min(m, com) == reference
+
+
+@pytest.mark.parametrize(("g", "nu", "com"), [(petersen(), 5, 4), (cycle(5), 2, 2), (star(3), 1, 1)], ids=["petersen", "C5", "star3"]
+)
+def test_compatibility_report_scans_single_sizes_up_to_the_first_failure(monkeypatch, g, nu, com):
+    windows = []
+    real = analysis.is_lm_compatible
+    monkeypatch.setattr(analysis, "is_lm_compatible", lambda g, l, m: windows.append((l, m)) or real(g, l, m))
+    report = compatibility_report(g, nu)
+    assert report.com == com and report.f_table == {m: min(m, com) for m in range(1, nu + 1)}
+    assert windows == [(l, l) for l in range(1, min(com + 1, nu) + 1)]
 
 
 def test_compatibility_function_raises_invariant_error_when_l_one_fails(monkeypatch):
