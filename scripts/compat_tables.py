@@ -26,10 +26,12 @@ def named_graphs():
     }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-m", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.max_m < 1:
+        parser.error("--max-m must be at least 1")
 
     for name, g in named_graphs().items():
         report = compatibility_report(g, args.max_m)

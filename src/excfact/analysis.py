@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import ceil
+from typing import Iterator
 
 from .budget import check_budget
 from .coloring import chromatic_index
@@ -21,15 +22,23 @@ from .matching import maximum_matching
 
 
 class CompatibilityReport(_Value):
-    __slots__ = _fields = ("com", "f_table")
+    """com; the rows f(m) = min(m, com) for m = 1..max_m are derived when read."""
 
-    def __init__(self, com: int, f_table: dict[int, int] | None = None) -> None:
+    __slots__ = _fields = ("com", "max_m")
+
+    def __init__(self, com: int, max_m: int) -> None:
         object.__setattr__(self, "com", com)
-        object.__setattr__(self, "f_table", {} if f_table is None else f_table)
+        object.__setattr__(self, "max_m", max_m)
 
     @property
     def edgeless(self) -> bool:
-        return not self.f_table
+        return self.com == 0
+
+    def rows(self) -> Iterator[tuple[int, int]]:
+        """(m, f(m)) for m = 1..max_m, one budget check per row; none when edgeless."""
+        for m in range(1, self.max_m + 1 if self.com else 1):
+            check_budget()
+            yield m, min(m, self.com)
 
 
 class CoherenceReport(_Value):
@@ -51,26 +60,22 @@ class CoherenceReport(_Value):
 def is_lm_compatible(g: SimpleGraph, l: int, m: int) -> bool:
     """Whether the [l,m]-index equals max(chi', ceil(|E|/m)); never true when infinite."""
     result = excessive_lm_index(g, l, m)
-    if not result.finite:
-        return False
-    return result.value == max(chromatic_index(g), ceil(g.edge_count / m))
+    return result.finite and result.value == max(chromatic_index(g), ceil(g.edge_count / m))
 
 
 def compatibility_index(g: SimpleGraph) -> int:
     """Largest l for which the excessive [l]-index attains its lower bound.
 
-    Compatibility at a single size is downward closed in l (McDiarmid): if
-    l >= 2 is compatible and (l-1) * chi' >= |E|, chi' matchings of size l
-    cover E with at least chi' surplus edge instances; dropping chi' of them
-    and equalizing leaves chi' matchings of size l-1 that cover E.  Else the
-    ceiling regime makes l-1 (< nu, so coverable) compatible.  The scan
-    stops at the first size that fails, never above nu; edgeless graphs get 0.
+    Every l <= q = floor(|E|/chi') is settled by the ceiling regime, whose
+    [l]-index ceil(|E|/l) is the bound (q <= nu, and at q = nu every colour
+    class is a maximum matching).  Above q the scan stops at the first failure,
+    as one-size compatibility is downward closed (McDiarmid): for compatible
+    l >= 2 with (l-1) * chi' >= |E|, dropping chi' surplus edge instances and
+    equalizing gives l-1; else the ceiling regime does.  Edgeless graphs get 0.
     """
+    q = g.edge_count // max(chromatic_index(g), 1)  # 0 when edgeless
     nu = len(maximum_matching(g))
-    com = next((l - 1 for l in range(1, nu + 1) if not is_lm_compatible(g, l, l)), nu)
-    if nu and not com:
-        raise InvariantError("unreachable: [1,1]-compatibility always holds")
-    return com
+    return next((l - 1 for l in range(q + 1, nu + 1) if not is_lm_compatible(g, l, l)), nu)
 
 
 def compatibility_function(g: SimpleGraph, m: int) -> int:
@@ -86,33 +91,28 @@ def compatibility_function(g: SimpleGraph, m: int) -> int:
 
 
 def compatibility_report(g: SimpleGraph, max_m: int) -> CompatibilityReport:
-    """com and the rows f(m) = min(m, com) for m = 1..max_m."""
+    """com, with the rows f(m) = min(m, com) for m = 1..max_m derived on reading."""
     if max_m < 1:
         raise ParameterError("max_m must be at least 1")
-    if not g.edges:
-        return CompatibilityReport(com=0)
-    com = compatibility_index(g)
-    table = {}
-    for m in range(1, max_m + 1):
-        check_budget()
-        table[m] = min(m, com)
-    return CompatibilityReport(com=com, f_table=table)
+    return CompatibilityReport(compatibility_index(g), max_m)
 
 
 def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
     """Compare the [l,m]-index with the best fixed-size index over [l, m].
 
-    The report also evaluates the incoherence test (the ratio |E|/chi' lies
-    strictly between l and m, and the index at size ceil(|E|/chi') exceeds
-    chi') and checks that it agrees with the definition-level comparison.
+    Only the largest size up to q = floor(|E|/chi') is computed, as the ceiling
+    regime's [i]-index ceil(|E|/i) falls as i grows.  The incoherence test
+    (l < |E|/chi' < m and the index at size ceil(|E|/chi') exceeds chi') is
+    checked against the definition-level comparison.
     """
     lhs = excessive_lm_index(g, l, m).value
-    # every [i]-index with i > nu >= 1 is infinite; an edgeless graph's is 0
-    top = min(m, max(l, len(maximum_matching(g))))
-    rhs = min(excessive_m_index(g, i).value for i in range(l, top + 1))
-    coherent = lhs == rhs
     chi = chromatic_index(g)
     edge_total = g.edge_count
+    q = edge_total // max(chi, 1)
+    # every [i]-index with i > nu >= 1 is infinite; an edgeless graph's is 0
+    top = min(m, max(l, len(maximum_matching(g))))
+    rhs = min(excessive_m_index(g, i).value for i in range(max(l, min(top, q)), top + 1))
+    coherent = lhs == rhs
     if l * chi < edge_total < m * chi:
         k = ceil(edge_total / chi)
         characterization = excessive_m_index(g, k).value > chi
@@ -154,7 +154,7 @@ def find_incoherence_example(max_vertices: int = 8) -> SimpleGraph | None:
 def compatibility_report_to_json(report: CompatibilityReport) -> dict:
     return {
         "com": report.com,
-        "f_table": {str(m): report.f_table[m] for m in sorted(report.f_table)},
+        "f_table": {str(m): f for m, f in report.rows()},
         "edgeless": report.edgeless,
     }
 
@@ -171,6 +171,4 @@ def coherence_report_to_json(report: CoherenceReport) -> dict:
 
 
 def f_table_csv(report: CompatibilityReport) -> str:
-    lines = ["m,f"]
-    lines.extend(f"{m},{report.f_table[m]}" for m in sorted(report.f_table))
-    return "\n".join(lines) + "\n"
+    return "m,f\n" + "".join(f"{m},{f}\n" for m, f in report.rows())

@@ -20,7 +20,7 @@ from pathlib import Path
 from .budget import time_budget
 from .errors import BudgetExceededError, EnumerationCapError, FormatError, ParameterError, PreconditionError
 from .excessive import exc_algorithm, excessive_lm_index, index_result_to_json
-from .graphs import Covering, SimpleGraph, covering_from_json, covering_violations, parse_edge_list, parse_graph6
+from .graphs import Covering, SimpleGraph, _decimal, covering_from_json, covering_violations, parse_edge_list, parse_graph6
 # analysis and oracle are imported inside the commands that run them, so the others start faster
 
 FORMAT_VERSION = 1
@@ -44,11 +44,11 @@ def _load_graph(path_text: str) -> SimpleGraph:
 
 
 def _parse_m(token: str) -> int | None:
-    """``--m`` as an integer, or None for ``inf``, which needs the graph."""
+    """``--m`` in ASCII decimal digits, or None for ``inf``, which needs the graph."""
     if token == "inf":
         return None
     try:
-        return int(token)
+        return _decimal(token)
     except ValueError:
         raise ParameterError(f"--m expects an integer or 'inf', got {token!r}") from None
 

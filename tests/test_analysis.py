@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from excfact import (
     BudgetExceededError,
-    InvariantError,
     ParameterError,
     coherence_report,
     compatibility_function,
@@ -25,16 +25,22 @@ from excfact.analysis import (
     f_table_csv,
 )
 from excfact.budget import time_budget
-from excfact.families import cycle, empty, petersen, star
+from excfact.coloring import chromatic_index
+from excfact.families import cycle, empty, path, petersen, star
 from excfact.oracle import enumerate_labeled_graphs
 from oracles import max_matching_size_bruteforce
 
 FIXTURE = Path(__file__).parent / "data" / "incoherent_2_3.g6"
+COMPAT_TABLES = Path(__file__).parent.parent / "scripts" / "compat_tables.py"
 
 
 def _small_graphs(max_vertices):
     for n in range(max_vertices + 1):
         yield from enumerate_labeled_graphs(n)
+
+
+def _graphs_with_edges_and_petersen():
+    return [g for g in _small_graphs(5) if g.edges] + [petersen()]
 
 
 def test_l_equal_one_is_always_compatible():
@@ -74,14 +80,28 @@ def test_compatibility_function_scans_no_l_above_the_matching_number(monkeypatch
     real = analysis.is_lm_compatible
     monkeypatch.setattr(analysis, "is_lm_compatible", lambda g, l, m: tried.append(l) or real(g, l, m))
     assert compatibility_function(petersen_graph, 50) == 4
-    assert tried == [1, 2, 3, 4, 5]  # nu = 5: no [l,50]-covering exists for l > 5
+    # |E| = 15 and chi' = 4 settle l <= 3; nu = 5: no [l,50]-covering exists for l > 5
+    assert tried == [4, 5]
+
+
+def test_sizes_up_to_the_ceiling_quotient_are_compatible_without_a_scan(monkeypatch):
+    """Every l <= floor(|E|/chi') is in the ceiling regime, so compatible;
+    the index reads them off that arithmetic instead of checking them."""
+    tried = []
+    real = analysis.is_lm_compatible
+    monkeypatch.setattr(analysis, "is_lm_compatible", lambda g, l, m: tried.append(l) or real(g, l, m))
+    for g in _graphs_with_edges_and_petersen():
+        q = g.edge_count // chromatic_index(g)
+        assert all(real(g, l, l) for l in range(1, q + 1))
+        tried.clear()
+        assert compatibility_index(g) >= q
+        assert all(l > q for l in tried)
 
 
 def test_compatibility_function_is_min_of_m_and_com(petersen_graph):
     """f(m) = min(m, com), against the definition: the largest l <= m, and
     <= nu since no larger matching exists, with the graph [l,m]-compatible."""
-    graphs = [g for g in _small_graphs(5) if g.edges] + [petersen_graph]
-    for g in graphs:
+    for g in _graphs_with_edges_and_petersen():
         nu = max_matching_size_bruteforce(g)
         com = compatibility_index(g)
         for m in range(1, nu + 3):
@@ -89,21 +109,19 @@ def test_compatibility_function_is_min_of_m_and_com(petersen_graph):
             assert compatibility_function(g, m) == min(m, com) == reference
 
 
-@pytest.mark.parametrize(("g", "nu", "com"), [(petersen(), 5, 4), (cycle(5), 2, 2), (star(3), 1, 1)], ids=["petersen", "C5", "star3"]
+@pytest.mark.parametrize(
+    ("g", "nu", "com", "scanned"),
+    [(petersen(), 5, 4, [(4, 4), (5, 5)]), (cycle(5), 2, 2, [(2, 2)]), (star(3), 1, 1, [])],
+    ids=["petersen", "C5", "star3"],
 )
-def test_compatibility_report_scans_single_sizes_up_to_the_first_failure(monkeypatch, g, nu, com):
+def test_compatibility_report_scans_single_sizes_up_to_the_first_failure(monkeypatch, g, nu, com, scanned):
+    """The scan starts past floor(|E|/chi'): 15 // 4 = 3, 5 // 3 = 1, 3 // 3 = 1."""
     windows = []
     real = analysis.is_lm_compatible
     monkeypatch.setattr(analysis, "is_lm_compatible", lambda g, l, m: windows.append((l, m)) or real(g, l, m))
     report = compatibility_report(g, nu)
-    assert report.com == com and report.f_table == {m: min(m, com) for m in range(1, nu + 1)}
-    assert windows == [(l, l) for l in range(1, min(com + 1, nu) + 1)]
-
-
-def test_compatibility_function_raises_invariant_error_when_l_one_fails(monkeypatch):
-    monkeypatch.setattr(analysis, "is_lm_compatible", lambda *args: False)
-    with pytest.raises(InvariantError):
-        compatibility_function(cycle(4), 2)
+    assert report.com == com and dict(report.rows()) == {m: min(m, com) for m in range(1, nu + 1)}
+    assert windows == scanned
 
 
 def test_compatibility_is_downward_closed_in_l():
@@ -135,12 +153,14 @@ def test_function_hits_m_exactly_up_to_the_index():
 def test_compatibility_report_shapes(petersen_graph):
     report = compatibility_report(petersen_graph, 5)
     assert report.com == 4 and not report.edgeless
-    assert report.f_table == {1: 1, 2: 2, 3: 3, 4: 4, 5: 4}
+    assert dict(report.rows()) == {1: 1, 2: 2, 3: 3, 4: 4, 5: 4}
     blob = compatibility_report_to_json(report)
     assert blob["f_table"]["5"] == 4
     assert f_table_csv(report).splitlines()[:2] == ["m,f", "1,1"]
     edgeless = compatibility_report(empty(3), 4)
-    assert edgeless.com == 0 and edgeless.edgeless and edgeless.f_table == {}
+    assert edgeless.com == 0 and edgeless.edgeless and dict(edgeless.rows()) == {}
+    assert compatibility_report_to_json(edgeless) == {"com": 0, "f_table": {}, "edgeless": True}
+    assert f_table_csv(edgeless) == "m,f\n"
 
 
 def test_compatibility_report_reuses_f_of_nu_past_nu(monkeypatch, petersen_graph):
@@ -151,16 +171,38 @@ def test_compatibility_report_reuses_f_of_nu_past_nu(monkeypatch, petersen_graph
     n_short = len(calls)
     long = compatibility_report(petersen_graph, 200)  # nu = 5
     assert len(calls) - n_short == n_short
-    assert long.f_table == {**short.f_table, **{m: 4 for m in range(6, 201)}}
+    assert dict(long.rows()) == {**dict(short.rows()), **{m: 4 for m in range(6, 201)}}
 
 
 def test_compatibility_report_stops_on_budget():
-    """With every memo warm, only the per-m loop can notice the deadline.
-    Memos live on the graph object, so both reports read one graph."""
-    g = petersen()
-    compatibility_report(g, 5)
+    """With every memo warm, only the writer's walk over the rows, which
+    checks the budget once per m, can notice the deadline."""
+    report = compatibility_report(petersen(), 10**5)
     with pytest.raises(BudgetExceededError), time_budget(0):
-        compatibility_report(g, 10**5)
+        compatibility_report_to_json(report)
+    with pytest.raises(BudgetExceededError), time_budget(0):
+        f_table_csv(report)
+
+
+def test_analyses_of_a_long_path_skip_the_ceiling_regime():
+    """path(10_000): |E| = 9999 and chi' = 2, so every size up to 4999 is
+    settled by arithmetic; a scan from l = 1 builds a witness at each.  The
+    one perfect matching misses every other edge, so no size-5000 covering
+    exists: [1, 10000] is strictly incoherent, 2 against ceil(9999 / 4999)."""
+    g = path(10_000)
+    with time_budget(2000):
+        assert compatibility_report(g, 5).com == 4999
+        report = coherence_report(g, 1, 10_000)
+    assert (report.lhs, report.rhs, report.coherent) == (2, 3, False)
+
+
+def test_compat_tables_script_rejects_max_m_below_one(capsys):
+    spec = importlib.util.spec_from_file_location("compat_tables", COMPAT_TABLES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exited:
+        script.main(["--max-m", "0"])
+    assert exited.value.code == 2 and "--max-m must be at least 1" in capsys.readouterr().err
 
 
 def test_coherence_report_scans_no_size_above_nu(petersen_graph):
@@ -168,6 +210,16 @@ def test_coherence_report_scans_no_size_above_nu(petersen_graph):
     report = coherence_report(petersen_graph, 1, 10**4)
     assert excessive_m_index.cache_info().currsize <= 5  # nu = 5
     assert (report.lhs, report.rhs) == (4, 4)
+
+
+def test_coherence_rhs_is_the_best_fixed_size_over_the_window():
+    for g in _graphs_with_edges_and_petersen():
+        nu = max_matching_size_bruteforce(g)
+        for l in range(1, 7):
+            for m in range(l, 7):
+                top = min(m, max(l, nu))
+                expected = min(excessive_m_index(g, i).value for i in range(l, top + 1))
+                assert coherence_report(g, l, m).rhs == expected
 
 
 def test_coherence_diagonal_is_trivial():

@@ -133,6 +133,7 @@ def test_analyze_requires_a_report(capsys, petersen_file):
         (["analyze", "--coherence"], "--coherence requires --l and --m"),
         # rejected before the graph is read or the budget starts, so no report is built
         (["analyze", "--compat", "--coherence", "--budget-ms", "0"], "--coherence requires --l and --m"),
+        (["index", "--l", "1", "--m", "1_0"], "--m expects an integer or 'inf'"),
     ],
 )
 def test_usage_errors_exit_one_with_the_message(capsys, petersen_file, flags, message):
@@ -145,6 +146,7 @@ def test_usage_errors_exit_one_with_the_message(capsys, petersen_file, flags, me
     [
         (["--l", "0", "--m", "1"], "--l must be at least 1"),
         (["--l", "1", "--m", "abc"], "--m expects an integer or 'inf'"),
+        (["--l", "1", "--m", "1_0"], "--m expects an integer or 'inf'"),
     ],
 )
 def test_index_checks_its_window_flags_before_reading_the_graph(capsys, tmp_path, flags, message):

@@ -43,9 +43,9 @@ CASES = {
         "IndexResult(value=1, witness=Covering(matchings=(Matching(edges=frozenset({(0, 1)})),)), rule='SEARCH')",
     ),
     "CompatibilityReport": (
-        CompatibilityReport(2, {1: 3, 2: 4}), CompatibilityReport(com=2, f_table={2: 4, 1: 3}),
-        CompatibilityReport(2), ("com", "f_table"),
-        "CompatibilityReport(com=2, f_table={1: 3, 2: 4})",
+        CompatibilityReport(2, 5), CompatibilityReport(com=2, max_m=5),
+        CompatibilityReport(2, 6), ("com", "max_m"),
+        "CompatibilityReport(com=2, max_m=5)",
     ),
     "CoherenceReport": (
         CoherenceReport(2, 3, False, 4, 3), CoherenceReport(l=2, m=3, coherent=False, lhs=4, rhs=3),
@@ -78,11 +78,7 @@ def test_value_type_contract(name):
     values = [getattr(value, f) for f in fields]
     assert cls(*values) == value
     assert cls(**dict(zip(fields, values))) == value
-    if name == "CompatibilityReport":  # a dict field: unhashable, as before
-        with pytest.raises(TypeError):
-            hash(value)
-    else:
-        assert hash(value) == hash(equal)
+    assert hash(value) == hash(equal)
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(value, field, values[0])
@@ -103,7 +99,5 @@ def test_value_type_defaults():
     assert SimpleGraph(3) == SimpleGraph(3, frozenset()) and SimpleGraph(3).edges == frozenset()
     assert Matching().edges == frozenset() and len(Matching()) == 0
     assert Covering().matchings == () and Covering() == Covering(matchings=())
-    report = CompatibilityReport(com=0)
-    assert report.f_table == {} and report.f_table is not CompatibilityReport(com=0).f_table
     assert SweepConfig() == SweepConfig(5, 5, 0, 40, 5)
     assert repr(SweepConfig()) == "SweepConfig(max_vertices=5, max_m=5, seed=0, samples_per_size=40, exhaustive_limit=5)"
