@@ -11,6 +11,7 @@ import argparse
 
 from excfact import coherence_report, compatibility_report
 from excfact.analysis import f_table_csv
+from excfact.cli import decimal
 from excfact.families import complete, cycle, path, petersen, star
 
 
@@ -28,7 +29,7 @@ def named_graphs():
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-m", type=int, default=5)
+    parser.add_argument("--max-m", type=decimal, default=5)
     args = parser.parse_args(argv)
     if args.max_m < 1:
         parser.error("--max-m must be at least 1")

@@ -9,7 +9,6 @@ report builders tabulate.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import ceil
 from typing import Iterator
 
@@ -121,34 +120,6 @@ def coherence_report(g: SimpleGraph, l: int, m: int) -> CoherenceReport:
     if coherent == characterization:
         raise InvariantError("incoherence test disagrees with definition")
     return CoherenceReport(l=l, m=m, coherent=coherent, lhs=lhs, rhs=rhs)
-
-
-def find_incoherence_example(max_vertices: int = 8) -> SimpleGraph | None:
-    """Search for the smallest graph witnessing strict incoherence.
-
-    Looks for a graph with chromatic index ``chi`` = 3 whose [2,3]-index is
-    ``chi`` while both fixed-size indices at 2 and 3 equal 4 > ``chi``.  The
-    edge count is pinned by the requirement 2 < |E|/chi < 3, which keeps the
-    enumeration manageable.
-    """
-    chi, low, high, target = 3, 2, 3, 4
-    for n in range(4, max_vertices + 1):
-        pairs = list(combinations(range(n), 2))
-        for edge_total in range(low * chi + 1, high * chi):
-            for combo in combinations(pairs, edge_total):
-                g = SimpleGraph(n, frozenset(combo))
-                if g.max_degree() > chi or len({v for e in combo for v in e}) < n:
-                    continue
-                if chromatic_index(g) != chi:
-                    continue
-                if excessive_m_index(g, high).value != target:
-                    continue
-                if excessive_m_index(g, low).value != target:
-                    continue
-                if excessive_lm_index(g, low, high).value != chi:
-                    continue
-                return g
-    return None
 
 
 def compatibility_report_to_json(report: CompatibilityReport) -> dict:

@@ -20,8 +20,13 @@ _DEADLINE: ContextVar[float | None] = ContextVar("excfact_deadline", default=Non
 
 @contextmanager
 def time_budget(milliseconds: int):
-    """Run the enclosed block under a wall-clock deadline."""
-    token = _DEADLINE.set(time.monotonic() + milliseconds / 1000.0)
+    """Run the enclosed block under a wall-clock deadline; a budget too large
+    for a float deadline sets none."""
+    try:
+        deadline = time.monotonic() + milliseconds / 1000.0
+    except OverflowError:
+        deadline = None
+    token = _DEADLINE.set(deadline)
     try:
         yield
     finally:

@@ -43,14 +43,26 @@ def _load_graph(path_text: str) -> SimpleGraph:
     return parse(_read_text(path_text))
 
 
-def _parse_m(token: str) -> int | None:
-    """``--m`` in ASCII decimal digits, or None for ``inf``, which needs the graph."""
-    if token == "inf":
-        return None
+def decimal(token: str, expected: str = "ASCII decimal digits") -> int:
+    """The argparse type of every integer flag: the graph formats' digit rule,
+    so a sign, a space, an underscore or a non-ASCII digit is a usage error."""
     try:
         return _decimal(token)
     except ValueError:
-        raise ParameterError(f"--m expects an integer or 'inf', got {token!r}") from None
+        raise argparse.ArgumentTypeError(f"expects {expected}, got {token!r}") from None
+
+
+def _decimal_or_inf(token: str) -> int | None:
+    """``index --m``: None for ``inf``, which needs the graph."""
+    return None if token == "inf" else decimal(token, "ASCII decimal digits or 'inf'")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParameterError, so it leaves ``main`` as one
+    ``error:`` line with exit 1 like any other input error."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
 
 
 def _emit(obj: dict) -> None:
@@ -64,11 +76,11 @@ def _budget_exceeded(**extra) -> int:
 
 
 def _cmd_index(args) -> int:
-    if args.l < 1:
+    if args.l < 1:  # checked, like the flags' syntax, before the graph is read
         raise ParameterError("--l must be at least 1")
-    m = _parse_m(args.m)  # both checks come before the graph is read
     g = _load_graph(args.graph)
-    if m is None:
+    m = args.m
+    if m is None:  # --m inf
         # matchings never exceed the edge count, so this cap is exact;
         # max() keeps the window nonempty on edgeless graphs
         m = max(g.edge_count, args.l)
@@ -170,33 +182,33 @@ def _render_dot(g: SimpleGraph, covering: Covering) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="excfact", description=__doc__)
+    parser = _Parser(prog="excfact", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     index = sub.add_parser("index", help="compute an excessive [l,m]-index")
     index.add_argument("--graph", required=True, help="graph file (.g6 graph6, otherwise edge list)")
-    index.add_argument("--l", type=int, required=True)
-    index.add_argument("--m", required=True, help="integer or 'inf'")
+    index.add_argument("--l", type=decimal, required=True)
+    index.add_argument("--m", type=_decimal_or_inf, required=True, help="integer or 'inf'")
     index.add_argument("--method", choices=["formula", "exc", "oracle"], default="formula")
-    index.add_argument("--budget-ms", type=int, default=10_000)
+    index.add_argument("--budget-ms", type=decimal, default=10_000)
     index.add_argument("--witness", action="store_true", help="include the witness covering")
     index.set_defaults(func=_cmd_index)
 
     analyze = sub.add_parser("analyze", help="compatibility / coherence reports")
     analyze.add_argument("--graph", required=True)
     analyze.add_argument("--compat", action="store_true")
-    analyze.add_argument("--max-m", type=int, default=5)
+    analyze.add_argument("--max-m", type=decimal, default=5)
     analyze.add_argument("--coherence", action="store_true")
-    analyze.add_argument("--l", type=int)
-    analyze.add_argument("--m", type=int)
-    analyze.add_argument("--budget-ms", type=int, default=10_000)
+    analyze.add_argument("--l", type=decimal)
+    analyze.add_argument("--m", type=decimal)
+    analyze.add_argument("--budget-ms", type=decimal, default=10_000)
     analyze.set_defaults(func=_cmd_analyze)
 
     sweep = sub.add_parser("sweep", help="cross-check the main path against the oracle")
-    sweep.add_argument("--max-vertices", type=int, default=4)
-    sweep.add_argument("--max-m", type=int, default=4)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--budget-ms", type=int, default=10_000)
+    sweep.add_argument("--max-vertices", type=decimal, default=4)
+    sweep.add_argument("--max-m", type=decimal, default=4)
+    sweep.add_argument("--seed", type=decimal, default=0)
+    sweep.add_argument("--budget-ms", type=decimal, default=10_000)
     sweep.set_defaults(func=_cmd_sweep)
 
     render = sub.add_parser("render", help="DOT drawing of a covering witness")
@@ -208,13 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return 1 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # the parser exits only after printing --help, with 0
+        return exc.code
     except (EnumerationCapError, FormatError, ParameterError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -196,13 +196,25 @@ def test_analyses_of_a_long_path_skip_the_ceiling_regime():
     assert (report.lhs, report.rhs, report.coherent) == (2, 3, False)
 
 
-def test_compat_tables_script_rejects_max_m_below_one(capsys):
+def _compat_tables_script():
     spec = importlib.util.spec_from_file_location("compat_tables", COMPAT_TABLES)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_compat_tables_script_rejects_max_m_below_one(capsys):
+    script = _compat_tables_script()
     with pytest.raises(SystemExit) as exited:
         script.main(["--max-m", "0"])
     assert exited.value.code == 2 and "--max-m must be at least 1" in capsys.readouterr().err
+
+
+def test_compat_tables_script_reads_max_m_as_ascii_digits(capsys):
+    script = _compat_tables_script()
+    with pytest.raises(SystemExit) as exited:
+        script.main(["--max-m", "1_0"])
+    assert exited.value.code == 2 and "argument --max-m: expects ASCII decimal digits" in capsys.readouterr().err
 
 
 def test_coherence_report_scans_no_size_above_nu(petersen_graph):

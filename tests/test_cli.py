@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excfact import covering_from_json, format_edge_list, verify_covering
+from excfact.budget import check_budget, time_budget
 from excfact.cli import main
 from excfact.families import complete, cycle, path, petersen, star
 
@@ -125,34 +126,99 @@ def test_analyze_requires_a_report(capsys, petersen_file):
     assert code == 1 and "nothing to do" in err
 
 
+#: every integer flag, after the flags its subcommand needs to parse
+_INTEGER_FLAGS = {
+    "index": (["--l", "1", "--m", "1"], ["--l", "--m", "--budget-ms"]),
+    "analyze": (["--compat"], ["--max-m", "--l", "--m", "--budget-ms"]),
+    "sweep": ([], ["--max-vertices", "--max-m", "--seed", "--budget-ms"]),
+}
+#: tokens Python's int() reads but the graph formats' digit rule does not
+_NOT_DECIMAL = ["1_0", " 1", "\u0661", "-1", "+1"]
+
+
+def _bad_integer_cases(commands):
+    return [
+        pytest.param([command, *needed, flag, token], f"argument {flag}:", id=f"{command} {flag} {token!r}")
+        for command in commands
+        for needed, flags in [_INTEGER_FLAGS[command]]
+        for flag in flags
+        for token in _NOT_DECIMAL
+    ]
+
+
+def _assert_one_error_line(code, out, err, message):
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["index", "--l", "1", "--m", "abc"], "--m expects an integer or 'inf'"),
+        (["index", "--l", "1", "--m", "abc"], "argument --m: expects ASCII decimal digits or 'inf'"),
         (["index", "--l", "0", "--m", "1"], "--l must be at least 1"),
         (["analyze", "--coherence"], "--coherence requires --l and --m"),
         # rejected before the graph is read or the budget starts, so no report is built
         (["analyze", "--compat", "--coherence", "--budget-ms", "0"], "--coherence requires --l and --m"),
-        (["index", "--l", "1", "--m", "1_0"], "--m expects an integer or 'inf'"),
+        (["index", "--l", "1", "--m", "1_0"], "argument --m: expects ASCII decimal digits or 'inf'"),
+        *_bad_integer_cases(_INTEGER_FLAGS),
     ],
 )
-def test_usage_errors_exit_one_with_the_message(capsys, petersen_file, flags, message):
-    code, out, err = _run(capsys, [*flags, "--graph", petersen_file])
-    assert code == 1 and message in err and out == ""
+def test_usage_errors_exit_one_with_the_message(capsys, tmp_path, flags, message):
+    # the graph file is missing, so each error is found before any file is read
+    graph = [] if flags[0] == "sweep" else ["--graph", str(tmp_path / "missing.el")]
+    _assert_one_error_line(*_run(capsys, [*flags, *graph]), message)
 
 
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--l", "0", "--m", "1"], "--l must be at least 1"),
-        (["--l", "1", "--m", "abc"], "--m expects an integer or 'inf'"),
-        (["--l", "1", "--m", "1_0"], "--m expects an integer or 'inf'"),
+        (["index", "--l", "0", "--m", "1"], "--l must be at least 1"),
+        (["index", "--l", "1", "--m", "abc"], "argument --m: expects ASCII decimal digits or 'inf'"),
+        (["index", "--l", "1", "--m", "1_0"], "argument --m: expects ASCII decimal digits or 'inf'"),
+        *_bad_integer_cases(["index"]),
     ],
 )
 def test_index_checks_its_window_flags_before_reading_the_graph(capsys, tmp_path, flags, message):
     missing = tmp_path / "missing.el"
-    code, out, err = _run(capsys, ["index", "--graph", str(missing), *flags])
-    assert code == 1 and out == "" and err.startswith(f"error: {message}")
+    _assert_one_error_line(*_run(capsys, [*flags, "--graph", str(missing)]), message)
+
+
+@pytest.mark.parametrize("command", [[], ["index"], ["analyze"], ["sweep"], ["render"]])
+def test_help_prints_the_usage_and_exits_zero(capsys, command):
+    code, out, err = _run(capsys, [*command, "--help"])
+    assert (code, err) == (0, "") and out.startswith(f"usage: excfact {' '.join(command)}".rstrip())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["index", "--graph", "missing.el", "--l", "1"], "the following arguments are required: --m"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["index", "--graph", "missing.el", "--l", "1", "--m", "1", "--method", "fast"], "argument --method: invalid choice"),
+    ],
+)
+def test_parser_errors_leave_by_the_one_error_line(capsys, argv, message):
+    _assert_one_error_line(*_run(capsys, argv), message)
+
+
+def test_a_budget_past_float_range_sets_no_deadline():
+    with time_budget(10**400):
+        check_budget()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--l", "4", "--m", "5", "--witness"],
+        ["analyze", "--compat", "--coherence", "--l", "2", "--m", "4"],
+        ["sweep", "--max-vertices", "3", "--max-m", "3"],
+    ],
+)
+def test_a_400_digit_budget_means_no_limit(petersen_file, argv):
+    graph = [] if argv[0] == "sweep" else ["--graph", petersen_file]
+    huge, default = (_run_subprocess([*argv, *graph, "--budget-ms", budget]) for budget in ("9" * 400, "10000"))
+    assert (huge.returncode, huge.stdout) == (0, default.stdout)
+    assert "Traceback" not in huge.stderr and len(huge.stderr.splitlines()) == len(default.stderr.splitlines())
 
 
 def test_sweep_clean_scope_prints_nothing(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
@@ -24,11 +25,12 @@ from excfact import (
 )
 from excfact import excessive as excessive_module
 from excfact import oracle as oracle_module
-from excfact.analysis import find_incoherence_example
 from excfact.families import complete, cycle, empty, path, star
 from excfact.oracle import SweepConfig, enumerate_labeled_graphs, min_cover_bruteforce, random_graph, small_graph_sweep
 from oracles import all_matchings, chromatic_index_bruteforce, matching_count_by_deletion, max_matching_size_bruteforce
 from strategies import simple_graphs
+
+FIND_INCOHERENCE = Path(__file__).parent.parent / "scripts" / "find_incoherence.py"
 
 
 def test_all_matchings_counts(petersen_graph):
@@ -410,8 +412,9 @@ def test_sweep_detects_injected_bug(monkeypatch):
 
 
 def test_incoherence_search_returns_known_smallest():
-    found = find_incoherence_example(max_vertices=6)
+    spec = importlib.util.spec_from_file_location("find_incoherence", FIND_INCOHERENCE)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    found = script.find_incoherence_example(max_vertices=6)
     assert found is not None
-    from excfact import encode_graph6
-
     assert encode_graph6(found) == "Es\\_"
