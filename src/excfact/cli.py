@@ -48,6 +48,8 @@ def decimal(token: str, expected: str = "ASCII decimal digits") -> int:
     so a sign, a space, an underscore or a non-ASCII digit is a usage error."""
     try:
         return _decimal(token)
+    except FormatError as exc:  # too many digits; the token is not repeated
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects {expected}, got {token!r}") from None
 
@@ -145,9 +147,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_render(args) -> int:
     g = _load_graph(args.graph)
+    text = _read_text(args.witness)
     try:
-        obj = json.loads(_read_text(args.witness))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past int()'s digit limit, or nesting
         raise FormatError(f"cannot read witness JSON: {exc}") from exc
     if isinstance(obj, dict) and "witness" in obj:
         obj = obj["witness"]

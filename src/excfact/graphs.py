@@ -274,10 +274,14 @@ _MAX_VERTICES = 258047  # the largest 4-byte graph6 count; both readers and the 
 
 def _decimal(token: str) -> int:
     """``token`` read as ASCII decimal digits (no sign, no underscores);
-    ValueError otherwise."""
+    ValueError otherwise, and FormatError, which names the digit count but not
+    the token, for more digits than ``int()`` converts."""
     if not (token.isascii() and token.isdigit()):
         raise ValueError(token)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # int()'s digit limit, sys.get_int_max_str_digits()
+        raise FormatError(f"a {len(token)}-digit number has too many digits") from None
 
 
 def parse_edge_list(text: str) -> SimpleGraph:
@@ -302,6 +306,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
                 raise FormatError(f"line {lineno}: header must be 'n <vertex_count>'")
             try:
                 header = _decimal(tokens[1])
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
             except ValueError:
                 raise FormatError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
             continue
@@ -309,6 +315,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
             raise FormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             u, v = _decimal(tokens[0]), _decimal(tokens[1])
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
         except ValueError:
             raise FormatError(f"line {lineno}: non-decimal token in {line!r}") from None
         if u == v:

@@ -22,7 +22,7 @@ form, so some isomorphic graphs just share nothing.
 from __future__ import annotations
 
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from . import excessive as _excessive
 from .budget import check_budget
@@ -314,14 +314,13 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
     ``lm_index_via_pairs`` evaluates.
     A random sample equal to one already swept is skipped: every route is
     deterministic, so its records would repeat the first copy's.
-    The window list is built once per call, and a window's route and record
-    lists only when one of its values disagrees with the reference.
+    A window's route and record lists are built only when one of its values
+    disagrees with the reference.
     Returns one record per disagreement (expected: none); each route verifies its own witnesses.
     """
     records: list[dict] = []
     swept: set[str] = set()  # graph6 strings, not graphs, which would keep their memos alive
     references: dict[tuple[int, int], tuple[tuple[int | float, ...], ...]] = {}
-    windows = list(combinations_with_replacement(range(1, config.max_m + 1), 2))  # l <= m, in order
     for g in _sweep_graphs(config):
         if g.vertex_count > config.exhaustive_limit:  # only samples repeat
             code = encode_graph6(g)
@@ -334,21 +333,22 @@ def small_graph_sweep(config: SweepConfig) -> list[dict]:
             rows = references[key] = _reference_rows(g, config.max_m)
         top = len(rows)
         pair_values: list[int | float] = []  # [i - 1]: the closed form's [i, i+1] value, filled while l = 1
-        for l, m in windows:
-            check_budget()
-            reference = rows[min(l, top) - 1][min(m, top) - min(l, top)]
-            if l == 1 < m:
-                pair_values.append(_excessive.excessive_lm_index(g, m - 1, m).value)
-            formula = pair_values[l - 1] if m == l + 1 else _excessive.excessive_lm_index(g, l, m).value
-            exc = _excessive.exc_algorithm(g, l, m).value
-            if l < m:
-                pairs = formula if m == l + 1 else min(pairs, pair_values[m - 2])
-            if formula != reference or exc != reference or (l < m and pairs != reference):
-                routes = [("formula", formula), ("exc", exc)]
+        for l in range(1, config.max_m + 1):
+            for m in range(l, config.max_m + 1):
+                check_budget()
+                reference = rows[min(l, top) - 1][min(m, top) - min(l, top)]
+                if l == 1 < m:
+                    pair_values.append(_excessive.excessive_lm_index(g, m - 1, m).value)
+                formula = pair_values[l - 1] if m == l + 1 else _excessive.excessive_lm_index(g, l, m).value
+                exc = _excessive.exc_algorithm(g, l, m).value
                 if l < m:
-                    routes.append(("pairs", pairs))
-                for check, value in routes:
-                    if value != reference:
-                        records.append({"graph6": encode_graph6(g), "l": l, "m": m, "main": _json_value(value),
-                                        "oracle": _json_value(reference), "check": check})
+                    pairs = formula if m == l + 1 else min(pairs, pair_values[m - 2])
+                if formula != reference or exc != reference or (l < m and pairs != reference):
+                    routes = [("formula", formula), ("exc", exc)]
+                    if l < m:
+                        routes.append(("pairs", pairs))
+                    for check, value in routes:
+                        if value != reference:
+                            records.append({"graph6": encode_graph6(g), "l": l, "m": m, "main": _json_value(value),
+                                            "oracle": _json_value(reference), "check": check})
     return records

@@ -221,6 +221,20 @@ def test_a_400_digit_budget_means_no_limit(petersen_file, argv):
     assert "Traceback" not in huge.stderr and len(huge.stderr.splitlines()) == len(default.stderr.splitlines())
 
 
+@pytest.mark.parametrize("where", ["flag", "edge list"])
+def test_a_number_past_ints_digit_limit_is_one_short_error_line(capsys, tmp_path, where):
+    nines = "9" * 5000
+    graph = tmp_path / "g.el"
+    graph.write_text(f"0 {nines}\n" if where == "edge list" else "0 1\n")
+    argv = ["index", "--graph", str(graph), "--l", "1", "--m", "2"]
+    if where == "flag":
+        argv += ["--budget-ms", nines]
+    code, out, err = _run(capsys, argv)
+    prefix = "argument --budget-ms" if where == "flag" else "line 1"
+    _assert_one_error_line(code, out, err, f"{prefix}: a 5000-digit number has too many digits")
+    assert len(err) < 100
+
+
 def test_sweep_clean_scope_prints_nothing(capsys):
     code, out, err = _run(capsys, ["sweep", "--max-vertices", "4", "--max-m", "4"])
     assert code == 0 and out == ""
@@ -276,6 +290,15 @@ def test_render_rejects_invalid_witness(capsys, tmp_path):
     witness.write_text(json.dumps({"matchings": [[[0, 1]]]}))  # misses three edges
     code, _, err = _run(capsys, ["render", "--graph", str(graph), "--witness", str(witness)])
     assert code == 1 and "not covered" in err
+
+
+def test_render_reports_an_integer_past_ints_digit_limit(capsys, tmp_path):
+    graph = tmp_path / "p3.el"
+    graph.write_text(format_edge_list(path(3)))
+    witness = tmp_path / "witness.json"
+    witness.write_text('{"matchings": [[[0, 1' + "0" * 5000 + "]]]}")
+    _assert_one_error_line(*_run(capsys, ["render", "--graph", str(graph), "--witness", str(witness)]),
+                           "cannot read witness JSON: ")
 
 
 def test_input_errors_exit_one(capsys, tmp_path):

@@ -29,6 +29,7 @@ from excfact import (
     verify_covering,
 )
 from excfact.families import complete, cycle, petersen
+from excfact.graphs import _decimal
 from excfact.oracle import enumerate_labeled_graphs
 from strategies import simple_graphs
 
@@ -93,6 +94,15 @@ def test_parse_edge_list_caps_the_vertex_count():
     assert parse_edge_list("0 258046").vertex_count == 258047
     for text in ("0 100000000", "0 258047", "n 30000000\n0 1", "n 258048"):
         with pytest.raises(FormatError):
+            parse_edge_list(text)
+
+
+def test_a_number_past_ints_digit_limit_is_a_format_error_without_the_token():
+    assert _decimal("9" * 4300) == 10**4300 - 1
+    with pytest.raises(FormatError, match=r"^a 4301-digit number has too many digits$"):
+        _decimal("9" * 4301)
+    for text in ("0 " + "9" * 5000, "n " + "9" * 5000 + "\n0 1"):
+        with pytest.raises(FormatError, match=r"^line 1: a 5000-digit number has too many digits$"):
             parse_edge_list(text)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from excfact import (
+    BudgetExceededError,
     EnumerationCapError,
     InvariantError,
     ParameterError,
@@ -25,6 +27,7 @@ from excfact import (
 )
 from excfact import excessive as excessive_module
 from excfact import oracle as oracle_module
+from excfact.budget import time_budget
 from excfact.families import complete, cycle, empty, path, star
 from excfact.oracle import SweepConfig, enumerate_labeled_graphs, min_cover_bruteforce, random_graph, small_graph_sweep
 from oracles import all_matchings, chromatic_index_bruteforce, matching_count_by_deletion, max_matching_size_bruteforce
@@ -266,6 +269,20 @@ def test_sweep_catches_a_wrong_oracle_value_in_every_window_sharing_it(monkeypat
 #: seed 1 draws K6 four times among its 40 six-vertex samples
 REPEATING = SweepConfig(max_vertices=6, max_m=3, seed=1, samples_per_size=40)
 WINDOWS = [(l, m) for l in range(1, 4) for m in range(l, 4)]
+
+
+def test_sweep_memory_does_not_grow_with_max_m():
+    """The windows are two nested ranges, so a sweep with 1,280,800 windows
+    per graph stops on its budget having allocated next to nothing; a list
+    of those windows peaks near 79 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError), time_budget(50):
+            small_graph_sweep(SweepConfig(max_vertices=1, max_m=1600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
 
 
 def test_sweep_graphs_keep_their_repeated_samples():
